@@ -1,7 +1,7 @@
 // Fixed-point engine performance harness: the repo's tracked ODE baseline.
 //
 // Solves a pinned model x lambda grid spanning the explicit, stiff and
-// multi-class paths and reports, per case, the derivative-evaluation count
+// multi-class models and reports, per case, the derivative-evaluation count
 // (the primary metric: it is deterministic and machine-independent) and
 // best-of-5 wall time. Writes the measurements as JSON and, when given a
 // committed baseline file, prints and embeds per-case and aggregate
@@ -12,9 +12,9 @@
 //            [--mode=current|legacy|sweep-warm|sweep-cold|batch]
 //
 // Defaults: out = BENCH_ode.json, no baseline, mode = current. Mode
-// `legacy` pins the pre-engine behaviour (explicit relaxation or banded
-// pseudo-transient continuation at the constructed truncation, no Anderson
-// acceleration, no adaptive truncation); it exists to record
+// `legacy` pins the pre-engine behaviour (explicit relaxation at the
+// constructed truncation, no Anderson acceleration, no adaptive
+// truncation); it exists to record
 // BENCH_ode.baseline.json from the same binary. E[T] per case is included
 // in the JSON so an accidental semantic change is visible in the diff
 // (tests/golden_values_test.cpp pins the same values independently). The
@@ -89,7 +89,7 @@ std::unique_ptr<core::MeanFieldModel> reg(const std::string& name,
 }
 
 /// Pinned grid: explicit single-tail models across the load range, the
-/// stiff Erlang path at two stage counts, the segmented transfer models,
+/// stiff Erlang model at two stage counts, the segmented transfer models,
 /// and the multi-class models. Names encode model and lambda so baseline
 /// lookup survives reordering.
 std::vector<PerfCase> perf_cases() {
@@ -149,13 +149,11 @@ std::vector<PerfCase> perf_cases() {
 }
 
 /// Pre-engine behaviour, used to record the committed baseline: explicit
-/// relaxation (or the banded stiff path, which models opted into before)
-/// at the constructed truncation, Newton polish unchanged.
-core::FixedPointOptions legacy_options(const core::MeanFieldModel& model) {
+/// relaxation at the constructed truncation, Newton polish unchanged.
+core::FixedPointOptions legacy_options() {
   core::FixedPointOptions opts;
   opts.truncation = core::TruncationMode::Fixed;
-  opts.method = model.stiff_bandwidth() > 0 ? ode::FixedPointMethod::Stiff
-                                            : ode::FixedPointMethod::Relax;
+  opts.method = ode::FixedPointMethod::Relax;
   return opts;
 }
 
@@ -166,7 +164,7 @@ constexpr int kRepetitions = 5;
 CaseResult time_case(const PerfCase& pc, bool legacy) {
   const auto model = pc.make();
   const core::FixedPointOptions opts =
-      legacy ? legacy_options(*model) : core::FixedPointOptions{};
+      legacy ? legacy_options() : core::FixedPointOptions{};
   CaseResult out;
   out.name = pc.name;
   (void)core::solve_fixed_point(*model, opts);  // untimed warmup

@@ -2,10 +2,14 @@
 # Tier-1 gate: full build + test suite, the fixed-point property suite
 # over its full λ grids, a ThreadSanitizer pass over the
 # concurrency-sensitive pieces (work-stealing thread pool + experiment
-# runner), and report-only perf smokes against the committed baselines.
+# runner), AddressSanitizer and UB-sanitizer passes over the solver,
+# model, runner and daemon suites, and report-only perf smokes against the
+# committed baselines (written under build/perf/, never over the tracked
+# records in bench/perf/).
 #
 #   scripts/check.sh               # everything (~4 min)
 #   SKIP_TSAN=1 scripts/check.sh   # skip the thread-sanitizer pass
+#   SKIP_ASAN=1 scripts/check.sh   # skip the address-sanitizer pass
 #   SKIP_UBSAN=1 scripts/check.sh  # skip the UB-sanitizer pass
 #   SKIP_PERF=1 scripts/check.sh   # skip the perf smokes
 #   SKIP_PROPERTIES=1 scripts/check.sh  # skip the full-grid property pass
@@ -149,6 +153,14 @@ if [ "${SKIP_SERVE:-0}" != "1" ]; then
     exit 1
   fi
   grep -q '"kind":"invalid-argument"' "$srv_tmp/bad.out"
+  # --lambda is reserved (a typo for --lambdas): the client must refuse it
+  # locally instead of forwarding it to the daemon as a model parameter.
+  if "$srv_client" --socket="$srv_sock" estimate --id=typo --model=simple \
+      --lambda=0.9 2> "$srv_tmp/typo.err"; then
+    echo "serve client should have rejected --lambda" >&2
+    exit 1
+  fi
+  grep -q "use --lambdas" "$srv_tmp/typo.err"
   "$srv_client" --socket="$srv_sock" shutdown | grep -q '"type":"shutting_down"'
   wait "$srv_pid"  # the daemon must drain and exit 0
   rm -rf "$srv_tmp"
@@ -189,17 +201,33 @@ if [ "${SKIP_TSAN:-0}" != "1" ]; then
   ./build-tsan/tests/test_serve_fault
 fi
 
+if [ "${SKIP_ASAN:-0}" != "1" ]; then
+  echo "== asan: ODE, core, exp and serve suites under -fsanitize=address"
+  asan_tests=(test_ode test_banded test_anderson test_krylov
+    test_model_basic test_model_fixed_point test_model_reduction
+    test_model_variants test_registry test_golden_values test_phase_type
+    test_exp_runner test_fault_injection
+    test_serve_protocol test_serve_concurrency test_serve_fault
+    test_serve_lifecycle)
+  cmake -B build-asan -G Ninja -DLSM_SANITIZE=address \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+  cmake --build build-asan -j "$jobs" --target "${asan_tests[@]}"
+  for t in "${asan_tests[@]}"; do
+    ./build-asan/tests/"$t"
+  done
+fi
+
 if [ "${SKIP_UBSAN:-0}" != "1" ]; then
   echo "== ubsan: ODE solvers + core fixed-point engine under -fsanitize=undefined"
   cmake -B build-ubsan -G Ninja -DLSM_SANITIZE=undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
   cmake --build build-ubsan -j "$jobs" \
-    --target test_ode test_implicit test_anderson test_krylov \
+    --target test_ode test_banded test_anderson test_krylov \
     test_hot_loop_alloc test_model_fixed_point test_phase_type \
     test_serve_protocol
   export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
   ./build-ubsan/tests/test_ode
-  ./build-ubsan/tests/test_implicit
+  ./build-ubsan/tests/test_banded
   ./build-ubsan/tests/test_anderson
   ./build-ubsan/tests/test_krylov
   ./build-ubsan/tests/test_hot_loop_alloc
@@ -214,27 +242,31 @@ if [ "${SKIP_PERF:-0}" != "1" ]; then
   # Report-only: prints per-case and aggregate speedup vs the committed
   # baseline (bench/perf/BENCH_sim.baseline.json, recorded from the
   # pre-overhaul engine). A regression shows up as a shrinking speedup
-  # column in the BENCH_sim.json diff; nothing here fails the gate, since
-  # shared-runner machines are too noisy for a hard threshold.
+  # column against the tracked bench/perf/BENCH_sim.json; nothing here
+  # fails the gate, since shared-runner machines are too noisy for a hard
+  # threshold. Output goes to build/perf/: the tracked records are only
+  # regenerated deliberately.
+  mkdir -p build/perf
   echo "== perf smoke: simulator events/sec vs committed baseline (report-only)"
   cmake --build build -j "$jobs" --target perf_sim  # tier-1 build is Release
-  ./build/bench/perf/perf_sim bench/perf/BENCH_sim.json \
+  ./build/bench/perf/perf_sim build/perf/BENCH_sim.json \
     bench/perf/BENCH_sim.baseline.json
 
   # Same report-only contract for the fixed-point engine: rhs-eval counts
   # are deterministic, so a real regression shows as a shrinking
-  # "eval redux" column in the BENCH_ode.json diff even on noisy machines.
+  # "eval redux" column against bench/perf/BENCH_ode.json even on noisy
+  # machines.
   echo "== perf smoke: ODE rhs evals vs committed baseline (report-only)"
   cmake --build build -j "$jobs" --target perf_ode
-  ./build/bench/perf/perf_ode bench/perf/BENCH_ode.json \
+  ./build/bench/perf/perf_ode build/perf/BENCH_ode.json \
     bench/perf/BENCH_ode.baseline.json
 
   # Batched λ-sweep: runs the 6-model x 16-λ grid through the SIMD-batched
   # block driver AND the warm/cold scalar chains in one process; a
   # regression shows as a shrinking batch_eval_reduction /
-  # batch_wall_speedup column in the BENCH_ode_sweep.json diff.
+  # batch_wall_speedup column against bench/perf/BENCH_ode_sweep.json.
   echo "== perf smoke: batched sweep vs warm/cold scalar chains (report-only)"
-  ./build/bench/perf/perf_ode bench/perf/BENCH_ode_sweep.json \
+  ./build/bench/perf/perf_ode build/perf/BENCH_ode_sweep.json \
     --mode=batch
 fi
 

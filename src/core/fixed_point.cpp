@@ -192,14 +192,14 @@ FixedPointResult solve_warm(const MeanFieldModel& model,
   const bool adaptive =
       opts.truncation == TruncationMode::Adaptive ||
       (opts.truncation == TruncationMode::Auto &&
-       !model.truncation_explicit() && model.stiff_bandwidth() == 0);
+       !model.truncation_explicit());
 
   FixedPointResult result;
   std::size_t rung;
   ode::State start;
   if (!adaptive) {
-    // Stiff / explicit-truncation / Fixed-mode models solve at the
-    // constructed truncation; the warm state is just re-discretized to it.
+    // Explicit-truncation / Fixed-mode models solve at the constructed
+    // truncation; the warm state is just re-discretized to it.
     rung = guard.original();
     model.set_truncation(rung);
     start = model.resized_tail_state(opts.warm_state, opts.warm_truncation);
@@ -309,13 +309,10 @@ FixedPointResult solve_fixed_point(const MeanFieldModel& model,
     return solve_warm(model, opts);
   }
 
-  // Auto mode only re-discretizes non-stiff, auto-sized models: the stiff
-  // path's cost is dominated by banded Jacobian refreshes, so re-solving
-  // every rung roughly doubles the evaluation count instead of saving it.
   const bool adaptive =
       opts.truncation == TruncationMode::Adaptive ||
       (opts.truncation == TruncationMode::Auto &&
-       !model.truncation_explicit() && model.stiff_bandwidth() == 0);
+       !model.truncation_explicit());
 
   FixedPointResult result;
   if (!adaptive) {

@@ -95,10 +95,10 @@ class MeanFieldModel : public ode::OdeSystem {
   /// Overridden by models whose state is not a single monotone tail vector.
   void project(ode::State& s) const override;
 
-  /// Jacobian half-bandwidth hint for the stiff (implicit) fixed-point
-  /// path: 0 means "not stiff, use the explicit relaxation". Models whose
-  /// service happens in c fast stages return c so solve_fixed_point can
-  /// use pseudo-transient continuation with a banded chord Jacobian.
+  /// Routing hint only: 0 means "not stiff". Models whose service happens
+  /// in c fast stages return their Jacobian half-bandwidth c, and
+  /// ode::solve_fixed_point's Auto dispatch sends any nonzero hint to the
+  /// Newton-Krylov path.
   [[nodiscard]] virtual std::size_t stiff_bandwidth() const { return 0; }
 
   /// Residual map used by the Newton fixed-point polisher: identical to

@@ -261,8 +261,8 @@ std::unique_ptr<MeanFieldModel> make_model(const std::string& name,
   }
   if (name == "erlang") {
     // The unified service spec wins when given; an Erlang-shaped spec
-    // keeps the classic stage-state class (identical dynamics, stiff
-    // banded solver), anything else generalizes to phase-type state. The
+    // keeps the classic stage-state class (identical dynamics, Krylov
+    // solver route), anything else generalizes to phase-type state. The
     // historical integer keys remain: `c`, and the deprecated `stages`.
     if (svc.given) {
       if (svc.dist.is_erlang()) {

@@ -1,12 +1,19 @@
-// Banded dense linear algebra (LAPACK-style band storage) for the stiff
-// implicit steppers: the mean-field Jacobians are dominated by a narrow
-// band (nearest-neighbor and +/- c stage coupling), so an O(n b^2) banded
-// factorization replaces the O(n^3) dense one.
+// Banded dense linear algebra (LAPACK-style band storage) for the
+// Newton-Krylov chord preconditioner: the mean-field Jacobians are
+// dominated by a narrow band (nearest-neighbor and +/- c stage coupling),
+// so an O(n b^2) banded factorization replaces the O(n^3) dense one.
+//
+// banded_fd_jacobian builds the band of f = sys.deriv by forward
+// differences in one of two modes: per-column (exact band entries of any
+// Jacobian, n evaluations) and grouped Curtis-Powell-Reid (kl + ku + 1
+// evaluations, exact ONLY when the true Jacobian is banded -- the
+// mean-field models are band + low-rank, so they use per-column).
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
+#include "ode/system.hpp"
 #include "util/error.hpp"
 
 namespace lsm::ode {
@@ -64,5 +71,17 @@ class BandedLuSolver {
   BandedMatrix lu_;
   std::vector<std::size_t> pivot_;  // pivot row chosen at each step
 };
+
+enum class FdMode {
+  PerColumn,  ///< exact band of any Jacobian; n derivative evaluations
+  Grouped,    ///< Curtis-Powell-Reid; only for truly banded Jacobians
+};
+
+/// Approximates the (kl, ku) band of the Jacobian of sys.deriv(t, .) at s.
+BandedMatrix banded_fd_jacobian(const OdeSystem& sys, double t,
+                                const State& s, std::size_t kl,
+                                std::size_t ku,
+                                FdMode mode = FdMode::PerColumn,
+                                double eps = 1e-7);
 
 }  // namespace lsm::ode

@@ -6,8 +6,6 @@
 #include <limits>
 #include <utility>
 
-#include "ode/banded.hpp"
-#include "ode/implicit.hpp"
 #include "ode/linalg.hpp"
 #include "util/error.hpp"
 

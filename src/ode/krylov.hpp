@@ -25,14 +25,13 @@
 #include <cstddef>
 #include <memory>
 
-#include "ode/implicit.hpp"
+#include "ode/banded.hpp"
 #include "ode/newton.hpp"
 #include "ode/state.hpp"
 #include "ode/system.hpp"
 
 namespace lsm::ode {
 
-class BandedLuSolver;
 class LuSolver;
 
 /// Abstract y = A x over raw length-n arrays. Implementations are small

@@ -10,7 +10,8 @@
 //
 // Every response line is echoed to stdout. Exit 0 when the request ends
 // in "done" (or a single-line verb answered), 1 on error/rejected/
-// timeout, 2 when the sweep finished but some points failed.
+// timeout, 2 when the sweep finished but some points failed. --lambda is
+// reserved (a likely typo for --lambdas) and rejected before connecting.
 #include <iostream>
 #include <sstream>
 
@@ -58,6 +59,11 @@ int main(int argc, char** argv) {
   const std::string socket =
       args.get("socket", std::string("/tmp/lsm-serve.sock"));
   const double timeout = args.get("timeout", 60.0);
+  if (args.has("lambda")) {
+    std::cerr << "lsm_serve_client: --lambda is not a model parameter; "
+                 "use --lambdas\n";
+    return 1;
+  }
 
   try {
     auto client = lsm::serve::Client::connect(socket, timeout);

@@ -1,5 +1,5 @@
 // Fast fixed-point engine acceptance tests: the Anderson-accelerated
-// default must reproduce the legacy relaxation/stiff fixed points across
+// default must reproduce the legacy relaxation fixed points across
 // the whole registry, the adaptive truncation ladder must not change
 // observables, and the dispatcher must route and report methods honestly.
 #include <gtest/gtest.h>
@@ -19,13 +19,11 @@ namespace {
 using namespace lsm;
 
 /// Pre-engine behaviour: the constructed truncation, driven by explicit
-/// time relaxation (or pseudo-transient continuation when the model asks
-/// for it). This is the ground truth the engine must reproduce.
-core::FixedPointOptions legacy_options(const core::MeanFieldModel& model) {
+/// time relaxation. This is the ground truth the engine must reproduce.
+core::FixedPointOptions legacy_options() {
   core::FixedPointOptions opts;
   opts.truncation = core::TruncationMode::Fixed;
-  opts.method = model.stiff_bandwidth() > 0 ? ode::FixedPointMethod::Stiff
-                                            : ode::FixedPointMethod::Relax;
+  opts.method = ode::FixedPointMethod::Relax;
   return opts;
 }
 
@@ -41,7 +39,7 @@ double engine_sojourn(const std::string& name, double lambda,
 double legacy_sojourn(const std::string& name, double lambda,
                       core::FixedPointResult* out = nullptr) {
   const auto model = core::make_model(name, lambda);
-  auto fp = core::solve_fixed_point(*model, legacy_options(*model));
+  auto fp = core::solve_fixed_point(*model, legacy_options());
   const double w = model->mean_sojourn(fp.state);
   if (out != nullptr) *out = std::move(fp);
   return w;
@@ -94,7 +92,7 @@ TEST_P(EngineVsLegacyNearCritical, SojournsAgree) {
   // truncation (2048 at lambda = 0.99) sits above the default polish cap,
   // so raise it for this comparison.
   const auto model = core::make_model(name, 0.99);
-  auto lopts = legacy_options(*model);
+  auto lopts = legacy_options();
   lopts.newton_max_dim = 3000;
   const auto legacy = core::solve_fixed_point(*model, lopts);
   ASSERT_TRUE(legacy.polished) << name;
@@ -143,8 +141,7 @@ TEST(AdaptiveTruncation, SojournInvariantToInitialTruncation) {
   // ladder must land on fixed points whose observables agree to 1e-9 with
   // the big-L Fixed reference regardless of where it started.
   core::ThresholdWS reference(0.8, 2, 512);
-  const auto ref =
-      core::solve_fixed_point(reference, legacy_options(reference));
+  const auto ref = core::solve_fixed_point(reference, legacy_options());
   const double w_ref = reference.mean_sojourn(ref.state);
 
   for (const std::size_t initial : {128UL, 256UL, 512UL}) {
@@ -180,11 +177,19 @@ TEST(AdaptiveTruncation, AutoModeRestoresTheConstructedTruncation) {
 
 // --- Dispatch and fallback reporting --------------------------------------
 
-TEST(EngineDispatch, StiffModelsTakeTheStiffPath) {
+TEST(EngineDispatch, StiffModelsTakeTheKrylovPathAndTheLadder) {
   const auto model = core::make_model("erlang", 0.9);
   ASSERT_GT(model->stiff_bandwidth(), 0u);
   const auto fp = core::solve_fixed_point(*model);
-  EXPECT_EQ(fp.method, ode::FixedPointMethod::Stiff);
+  EXPECT_EQ(fp.method, ode::FixedPointMethod::Krylov);
+
+  // Below saturation the adaptive ladder stops well short of the
+  // auto-sized truncation, which Auto mode restores afterwards.
+  const auto light = core::make_model("erlang", 0.5);
+  const std::size_t constructed = light->truncation();
+  const auto light_fp = core::solve_fixed_point(*light);
+  EXPECT_LT(light_fp.final_truncation, constructed);
+  EXPECT_EQ(light->truncation(), constructed);
 }
 
 TEST(EngineDispatch, ExplicitRelaxRequestIsHonoured) {
@@ -199,8 +204,7 @@ TEST(EngineDispatch, ExplicitRelaxRequestIsHonoured) {
 TEST(EngineDispatch, MethodNamesRoundTrip) {
   for (const auto method :
        {ode::FixedPointMethod::Auto, ode::FixedPointMethod::Relax,
-        ode::FixedPointMethod::Stiff, ode::FixedPointMethod::Anderson,
-        ode::FixedPointMethod::Krylov}) {
+        ode::FixedPointMethod::Anderson, ode::FixedPointMethod::Krylov}) {
     EXPECT_EQ(ode::parse_fixed_point_method(ode::to_string(method)), method);
   }
   // The published name list is the same source of truth parse/to_string
@@ -217,7 +221,7 @@ TEST(EngineDispatch, BistableFallbackReproducesRelaxation) {
   // fallback must relax from the ORIGINAL start, not Anderson's best
   // iterate, so the engine still lands on the physical equilibrium.
   core::StagedTransferWS model(0.9, 0.25, 8, 4);
-  const auto legacy = core::solve_fixed_point(model, legacy_options(model));
+  const auto legacy = core::solve_fixed_point(model, legacy_options());
   const auto engine = core::solve_fixed_point(model);
   // Both solves stop at relax-level residuals (the model's dimension is
   // past the Newton cap), so compare at that accuracy; the spurious

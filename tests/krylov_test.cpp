@@ -9,6 +9,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/batch.hpp"
@@ -241,11 +244,19 @@ TEST(JacobianOperator, DirectionalDifferenceMatchesAnalyticJacobian) {
 
 // --- Krylov-vs-dense-Newton parity across the registry -------------------
 
+// Parameters are indices, not the names themselves: a `const char*`
+// parameter prints as its address, which ASLR changes on every run, so the
+// discovered test names would never repeat.
+constexpr const char* kParityModels[] = {"simple",      "threshold",
+                                         "multi-choice", "multi-steal",
+                                         "transfer",    "sharing"};
+
 class KrylovParity
-    : public ::testing::TestWithParam<std::tuple<const char*, double>> {};
+    : public ::testing::TestWithParam<std::tuple<std::size_t, double>> {};
 
 TEST_P(KrylovParity, SojournMatchesDenseNewtonEngine) {
-  const auto [name, lambda] = GetParam();
+  const char* name = kParityModels[std::get<0>(GetParam())];
+  const double lambda = std::get<1>(GetParam());
 
   const auto dense_model = core::make_model(name, lambda);
   const auto dense = core::solve_fixed_point(*dense_model);
@@ -262,11 +273,22 @@ TEST_P(KrylovParity, SojournMatchesDenseNewtonEngine) {
       << name << " lambda=" << lambda;
 }
 
+std::string parity_name(
+    const ::testing::TestParamInfo<std::tuple<std::size_t, double>>& info) {
+  std::string n = kParityModels[std::get<0>(info.param)];
+  for (auto& ch : n) {
+    if (ch == '-') ch = '_';
+  }
+  return n + "_l" +
+         std::to_string(static_cast<int>(std::get<1>(info.param) * 100));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     RegistryTimesLambda, KrylovParity,
-    ::testing::Combine(::testing::Values("simple", "threshold", "multi-choice",
-                                         "multi-steal", "transfer", "sharing"),
-                       ::testing::Values(0.7, 0.95)));
+    ::testing::Combine(
+        ::testing::Range<std::size_t>(0, std::size(kParityModels)),
+        ::testing::Values(0.7, 0.95)),
+    parity_name);
 
 TEST(KrylovDispatch, AutoRoutesLargeNearCriticalSystemsToKrylov) {
   // Dimensions at or above krylov_auto_dim go matrix-free under Auto; the
