@@ -33,8 +33,8 @@
 #include "analysis/finite_size.hpp"
 #include "bench_common.hpp"
 #include "core/threshold_ws.hpp"
-#include "exp/runner.hpp"
 #include "exp/spec.hpp"
+#include "exp/sweep.hpp"
 #include "util/statistics.hpp"
 
 namespace {
@@ -108,7 +108,7 @@ int main() {
     e.estimate = false;
     spec.add(std::move(e));
 
-    const auto report = exp::Runner().run(spec);
+    const auto report = exp::SweepRunner().run(spec);
     std::cout << report.summary() << "\n";
     total_events += report.events_simulated;
     for (const auto& r : report.results) {

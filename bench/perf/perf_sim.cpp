@@ -3,7 +3,7 @@
 //
 // Times the discrete-event engine (events/sec) on the table1 workload
 // shape — lambda = 0.9 steal-on-empty plus the Share and Preemptive
-// variants — at n in {64, 1024} on pinned seeds, and the exp::Runner
+// variants — at n in {64, 1024} on pinned seeds, and the exp::SweepRunner
 // sharding path (jobs/sec) on a small grid with caching disabled. Writes
 // the measurements as JSON and, when given a committed baseline file,
 // prints and embeds the per-case and aggregate speedups so perf
@@ -24,7 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "exp/runner.hpp"
+#include "exp/sweep.hpp"
 #include "exp/spec.hpp"
 #include "sim/simulator.hpp"
 #include "util/json.hpp"
@@ -117,7 +117,7 @@ std::vector<PerfCase> large_cases() {
 }
 
 /// Dispatched-event count of one run (thinned arrivals excluded; the same
-/// formula exp::Runner reports, so rates line up with run manifests).
+/// formula exp::SweepRunner reports, so rates line up with run manifests).
 std::uint64_t event_count(const sim::SimResult& r) {
   return r.arrivals + r.completions + r.steal_attempts + r.forwards;
 }
@@ -165,8 +165,8 @@ CaseResult time_case(const PerfCase& pc) {
   return out;
 }
 
-/// Times exp::Runner sharding a small uncached grid across the pool and
-/// prints a one-line summary.
+/// Times exp::SweepRunner sharding a small uncached grid across the pool
+/// and prints a one-line summary.
 util::Json time_runner() {
   exp::ExperimentSpec spec;
   spec.name = "";  // no artifacts
@@ -183,11 +183,11 @@ util::Json time_runner() {
     e.estimate = false;
     spec.add(std::move(e));
   }
-  exp::RunnerOptions opts;
+  exp::SweepOptions opts;
   opts.cache_dir = "";      // measure compute, not cache hits
   opts.artifact_dir = "";
   const auto t0 = Clock::now();
-  const auto report = exp::Runner(opts).run(spec);
+  const auto report = exp::SweepRunner(opts).run(spec);
   const double secs = seconds_since(t0);
   const double jobs_per_sec =
       secs > 0.0 ? static_cast<double>(report.results.size()) / secs : 0.0;

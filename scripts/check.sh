@@ -178,7 +178,7 @@ if [ "${SKIP_TSAN:-0}" != "1" ]; then
     --target test_serve_concurrency test_serve_lifecycle test_serve_fault
   ./build-tsan/tests/test_parallel
   # The Krylov/batched-RHS suite: single-threaded by design, run under
-  # TSan anyway so a future pooled batch sweep cannot silently introduce
+  # TSan anyway so a future pooled solver path cannot silently introduce
   # unsynchronized shared workspace state.
   ./build-tsan/tests/test_krylov
   # Sharded-engine replications across the pool: shard-count independence
@@ -189,6 +189,8 @@ if [ "${SKIP_TSAN:-0}" != "1" ]; then
   # across the pool.
   ./build-tsan/tests/test_phase_type \
     --gtest_filter='PhaseTypeSimulation.*:ServiceDistribution.*'
+  # The Runner.* cases run the mixed sim+estimate spec through
+  # exp::SweepRunner; the SweepRunner.* cases its estimate-only chains.
   ./build-tsan/tests/test_exp_runner \
     --gtest_filter='Runner.ManifestIsIdenticalAcrossPoolWidths:Runner.ExternalPoolIsUsable:SweepRunner.ManifestIsIdenticalAcrossPoolWidths:SweepRunner.MixedSimAndEstimateEntriesMergeIntoOneReport'
   # Faulted runs add retry/backoff + failure merging on the pool paths.
@@ -261,13 +263,13 @@ if [ "${SKIP_PERF:-0}" != "1" ]; then
   ./build/bench/perf/perf_ode build/perf/BENCH_ode.json \
     bench/perf/BENCH_ode.baseline.json
 
-  # Batched λ-sweep: runs the 6-model x 16-λ grid through the SIMD-batched
-  # block driver AND the warm/cold scalar chains in one process; a
-  # regression shows as a shrinking batch_eval_reduction /
-  # batch_wall_speedup column against bench/perf/BENCH_ode_sweep.json.
-  echo "== perf smoke: batched sweep vs warm/cold scalar chains (report-only)"
+  # λ-sweep continuation: runs the 6-model x 16-λ grid through the warm
+  # chain AND the cold point-by-point reference in one process; a
+  # regression shows as more warm evals / a shrinking eval_reduction
+  # column against bench/perf/BENCH_ode_sweep.json.
+  echo "== perf smoke: warm λ-sweep chain vs cold reference (report-only)"
   ./build/bench/perf/perf_ode build/perf/BENCH_ode_sweep.json \
-    --mode=batch
+    --mode=sweep-warm
 fi
 
 echo "check: all green"

@@ -31,7 +31,7 @@ class RootSystem final : public ode::OdeSystem {
   }
   [[nodiscard]] bool deriv_batch(double /*t*/, std::size_t nb, const double* x,
                                  double* dx) const override {
-    return model_.root_residual_batch(nb, nullptr, x, dx);
+    return model_.root_residual_batch(nb, x, dx);
   }
   [[nodiscard]] std::size_t dimension() const override {
     return model_.dimension();

@@ -104,9 +104,9 @@ void MeanFieldModel::root_residual(const ode::State& s, ode::State& f) const {
   f[0] = 1.0 - s[0];
 }
 
-bool MeanFieldModel::root_residual_batch(std::size_t nb, const double* lambdas,
-                                         const double* x, double* f) const {
-  if (!rhs_batch(nb, lambdas, x, f)) return false;
+bool MeanFieldModel::root_residual_batch(std::size_t nb, const double* x,
+                                         double* f) const {
+  if (!deriv_batch(0.0, nb, x, f)) return false;
   for (std::size_t l = 0; l < nb; ++l) f[l] = 1.0 - x[l];
   return true;
 }

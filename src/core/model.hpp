@@ -107,42 +107,16 @@ class MeanFieldModel : public ode::OdeSystem {
   /// Jacobian nonsingular at the fixed point.
   virtual void root_residual(const ode::State& s, ode::State& f) const;
 
-  /// Batched right-hand side over `nb` states in component-major
-  /// (structure-of-arrays) layout: x[i * nb + l] holds component i of lane
-  /// l, dx likewise. `lambdas` optionally gives a per-lane arrival rate
-  /// (nullptr = every lane at lambda()), which is what lets a lambda-sweep
-  /// evaluate its whole grid in one pass. Lane arithmetic must be
-  /// bit-identical to the scalar deriv() at the same lambda — same
-  /// operation order — so finite-difference Jacobians and golden artifacts
-  /// do not depend on which path ran. Returns false (x/dx untouched) when
-  /// the model has no batched kernel; callers fall back to scalar deriv().
-  [[nodiscard]] virtual bool rhs_batch(std::size_t nb, const double* lambdas,
-                                       const double* x, double* dx) const {
-    (void)nb;
-    (void)lambdas;
-    (void)x;
-    (void)dx;
-    return false;
-  }
-
-  /// Batched root_residual with the same layout/contract as rhs_batch.
-  /// The default composes rhs_batch with the default row-0 constraint
-  /// (f_0 = 1 - s_0); models that override root_residual with a different
-  /// constraint row MUST also override this (or inherit the base's false
-  /// when they have no batched kernel, which is always safe).
+  /// Batched root_residual over `nb` states in the component-major layout
+  /// of ode::OdeSystem::deriv_batch (x[i * nb + l] is component i of lane
+  /// l), every lane at this model's lambda and bit-identical to the scalar
+  /// root_residual. The default composes deriv_batch with the default row-0
+  /// constraint (f_0 = 1 - s_0); models that override root_residual with a
+  /// different constraint row MUST also override this (or inherit the
+  /// base's false when they have no batched kernel, which is always safe).
   [[nodiscard]] virtual bool root_residual_batch(std::size_t nb,
-                                                 const double* lambdas,
                                                  const double* x,
                                                  double* f) const;
-
-  /// Bridges the generic OdeSystem batch hook to rhs_batch at this model's
-  /// own lambda, so ode-layer machinery (batched Jacobian assembly) picks
-  /// up the SIMD kernels without knowing about arrival rates.
-  [[nodiscard]] bool deriv_batch(double t, std::size_t nb, const double* x,
-                                 double* dx) const override {
-    (void)t;
-    return rhs_batch(nb, nullptr, x, dx);
-  }
 
  protected:
   /// Clamp + monotone projection over s[begin..end) treating s[begin] as

@@ -55,8 +55,9 @@ void MultiChoiceWS::deriv(double /*t*/, const ode::State& s,
   }
 }
 
-bool MultiChoiceWS::rhs_batch(std::size_t nb, const double* lambdas,
-                              const double* x, double* dx) const {
+bool MultiChoiceWS::deriv_batch(double /*t*/, std::size_t nb, const double* x,
+                                double* dx) const {
+  const double lam = lambda_;
   const std::size_t L = trunc_;
   const std::size_t T = threshold_;
   const std::size_t d = choices_;
@@ -68,7 +69,6 @@ bool MultiChoiceWS::rhs_batch(std::size_t nb, const double* lambdas,
   const double* sT = x + T * nb;
   for (std::size_t l = 0; l < nb; ++l) dx[l] = 0.0;
   for (std::size_t l = 0; l < nb; ++l) {
-    const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
     const double fail_prob = int_pow(1.0 - sT[l], d);
     dx[nb + l] = lam * (x[l] - s1[l]) - (s1[l] - s2[l]) * fail_prob;
   }
@@ -78,7 +78,6 @@ bool MultiChoiceWS::rhs_batch(std::size_t nb, const double* lambdas,
     const double* sn = x + (i + 1) * nb;  // i < T < L, tracked
     double* out = dx + i * nb;
     for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
       out[l] = lam * (sp[l] - si[l]) - (si[l] - sn[l]);
     }
   }
@@ -88,7 +87,6 @@ bool MultiChoiceWS::rhs_batch(std::size_t nb, const double* lambdas,
     const double* sn = x + (i + 1) * nb;
     double* out = dx + i * nb;
     for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
       const double victim_prob =
           int_pow(1.0 - sn[l], d) - int_pow(1.0 - si[l], d);
       out[l] = lam * (sp[l] - si[l]) - (si[l] - sn[l]) -
@@ -100,7 +98,6 @@ bool MultiChoiceWS::rhs_batch(std::size_t nb, const double* lambdas,
     const double* si = x + L * nb;
     double* out = dx + L * nb;
     for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
       const double victim_prob =
           int_pow(1.0 - 0.0, d) - int_pow(1.0 - si[l], d);
       out[l] = lam * (sp[l] - si[l]) - (si[l] - 0.0) -

@@ -22,8 +22,8 @@ class MultiChoiceWS final : public MeanFieldModel {
                 std::size_t truncation = 0);
 
   void deriv(double t, const ode::State& s, ode::State& ds) const override;
-  [[nodiscard]] bool rhs_batch(std::size_t nb, const double* lambdas,
-                               const double* x, double* dx) const override;
+  [[nodiscard]] bool deriv_batch(double t, std::size_t nb, const double* x,
+                                 double* dx) const override;
   [[nodiscard]] std::string name() const override;
 
   [[nodiscard]] std::size_t choices() const noexcept { return choices_; }

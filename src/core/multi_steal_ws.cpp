@@ -53,8 +53,9 @@ void MultiStealWS::deriv(double /*t*/, const ode::State& s,
   }
 }
 
-bool MultiStealWS::rhs_batch(std::size_t nb, const double* lambdas,
-                             const double* x, double* dx) const {
+bool MultiStealWS::deriv_batch(double /*t*/, std::size_t nb, const double* x,
+                               double* dx) const {
+  const double lam = lambda_;
   const std::size_t L = trunc_;
   const std::size_t T = threshold_;
   const std::size_t k = k_;
@@ -66,7 +67,6 @@ bool MultiStealWS::rhs_batch(std::size_t nb, const double* lambdas,
   const double* sT = x + T * nb;
   for (std::size_t l = 0; l < nb; ++l) dx[l] = 0.0;
   for (std::size_t l = 0; l < nb; ++l) {
-    const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
     dx[nb + l] = lam * (x[l] - s1[l]) - (s1[l] - s2[l]) * (1.0 - sT[l]);
   }
   // 2 <= i <= k: a successful steal lifts the thief across these levels.
@@ -76,7 +76,6 @@ bool MultiStealWS::rhs_batch(std::size_t nb, const double* lambdas,
     const double* sn = x + (i + 1) * nb;
     double* out = dx + i * nb;
     for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
       out[l] = lam * (sp[l] - si[l]) - (si[l] - sn[l]) +
                (s1[l] - s2[l]) * sT[l];
     }
@@ -88,7 +87,6 @@ bool MultiStealWS::rhs_batch(std::size_t nb, const double* lambdas,
     const double* sn = x + (i + 1) * nb;
     double* out = dx + i * nb;
     for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
       out[l] = lam * (sp[l] - si[l]) - (si[l] - sn[l]);
     }
   }
@@ -100,7 +98,6 @@ bool MultiStealWS::rhs_batch(std::size_t nb, const double* lambdas,
     const double* hi = x + (i + k) * nb;  // i + k <= T + k - 1 < L
     double* out = dx + i * nb;
     for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
       out[l] = lam * (sp[l] - si[l]) - (si[l] - sn[l]) -
                (s1[l] - s2[l]) * (sT[l] - hi[l]);
     }
@@ -113,7 +110,6 @@ bool MultiStealWS::rhs_batch(std::size_t nb, const double* lambdas,
     const double* hi = x + (i + k) * nb;
     double* out = dx + i * nb;
     for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
       out[l] = lam * (sp[l] - si[l]) - (si[l] - sn[l]) -
                (s1[l] - s2[l]) * (si[l] - hi[l]);
     }
@@ -125,7 +121,6 @@ bool MultiStealWS::rhs_batch(std::size_t nb, const double* lambdas,
     const double* sn = x + (i + 1) * nb;
     double* out = dx + i * nb;
     for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
       out[l] = lam * (sp[l] - si[l]) - (si[l] - sn[l]) -
                (s1[l] - s2[l]) * (si[l] - 0.0);
     }
@@ -135,7 +130,6 @@ bool MultiStealWS::rhs_batch(std::size_t nb, const double* lambdas,
     const double* si = x + L * nb;
     double* out = dx + L * nb;
     for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
       out[l] = lam * (sp[l] - si[l]) - (si[l] - 0.0) -
                (s1[l] - s2[l]) * (si[l] - 0.0);
     }

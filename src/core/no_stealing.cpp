@@ -35,8 +35,9 @@ void NoStealing::deriv(double /*t*/, const ode::State& s,
   }
 }
 
-bool NoStealing::rhs_batch(std::size_t nb, const double* lambdas,
-                           const double* x, double* dx) const {
+bool NoStealing::deriv_batch(double /*t*/, std::size_t nb, const double* x,
+                             double* dx) const {
+  const double lam = lambda_;
   const std::size_t L = trunc_;
   // Component-major lanes, bit-identical per lane to deriv().
   for (std::size_t l = 0; l < nb; ++l) dx[l] = 0.0;
@@ -46,7 +47,6 @@ bool NoStealing::rhs_batch(std::size_t nb, const double* lambdas,
     const double* sn = x + (i + 1) * nb;
     double* out = dx + i * nb;
     for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
       out[l] = lam * (sp[l] - si[l]) - (si[l] - sn[l]);
     }
   }
@@ -55,7 +55,6 @@ bool NoStealing::rhs_batch(std::size_t nb, const double* lambdas,
     const double* si = x + L * nb;
     double* out = dx + L * nb;
     for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
       out[l] = lam * (sp[l] - si[l]) - (si[l] - 0.0);
     }
   }

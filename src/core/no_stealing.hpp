@@ -17,8 +17,8 @@ class NoStealing final : public MeanFieldModel {
   explicit NoStealing(double lambda, std::size_t truncation = 0);
 
   void deriv(double t, const ode::State& s, ode::State& ds) const override;
-  [[nodiscard]] bool rhs_batch(std::size_t nb, const double* lambdas,
-                               const double* x, double* dx) const override;
+  [[nodiscard]] bool deriv_batch(double t, std::size_t nb, const double* x,
+                                 double* dx) const override;
   [[nodiscard]] std::string name() const override { return "no-stealing"; }
 
   /// Closed-form stationary tails pi_i = lambda^i (truncated).

@@ -40,8 +40,9 @@ void ThresholdWS::deriv(double /*t*/, const ode::State& s,
   }
 }
 
-bool ThresholdWS::rhs_batch(std::size_t nb, const double* lambdas,
-                            const double* x, double* dx) const {
+bool ThresholdWS::deriv_batch(double /*t*/, std::size_t nb, const double* x,
+                              double* dx) const {
+  const double lam = lambda_;
   const std::size_t L = trunc_;
   const std::size_t T = threshold_;
   // Component-major lanes; the bulk rows split at T so the steal term is
@@ -53,7 +54,6 @@ bool ThresholdWS::rhs_batch(std::size_t nb, const double* lambdas,
   const double* sT = x + T * nb;
   for (std::size_t l = 0; l < nb; ++l) dx[l] = 0.0;
   for (std::size_t l = 0; l < nb; ++l) {
-    const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
     dx[nb + l] = lam * (s0[l] - s1[l]) - (s1[l] - s2[l]) * (1.0 - sT[l]);
   }
   for (std::size_t i = 2; i < T; ++i) {
@@ -62,7 +62,6 @@ bool ThresholdWS::rhs_batch(std::size_t nb, const double* lambdas,
     const double* sn = x + (i + 1) * nb;  // i < T < L, so i + 1 is tracked
     double* out = dx + i * nb;
     for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
       out[l] = lam * (sp[l] - si[l]) - (si[l] - sn[l]);
     }
   }
@@ -72,7 +71,6 @@ bool ThresholdWS::rhs_batch(std::size_t nb, const double* lambdas,
     const double* sn = x + (i + 1) * nb;
     double* out = dx + i * nb;
     for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
       out[l] = lam * (sp[l] - si[l]) - (si[l] - sn[l]) -
                (si[l] - sn[l]) * (s1[l] - s2[l]);
     }
@@ -82,7 +80,6 @@ bool ThresholdWS::rhs_batch(std::size_t nb, const double* lambdas,
     const double* si = x + L * nb;
     double* out = dx + L * nb;
     for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
       out[l] = lam * (sp[l] - si[l]) - (si[l] - 0.0) -
                (si[l] - 0.0) * (s1[l] - s2[l]);
     }

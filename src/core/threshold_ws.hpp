@@ -25,8 +25,8 @@ class ThresholdWS : public MeanFieldModel {
   ThresholdWS(double lambda, std::size_t threshold, std::size_t truncation = 0);
 
   void deriv(double t, const ode::State& s, ode::State& ds) const override;
-  [[nodiscard]] bool rhs_batch(std::size_t nb, const double* lambdas,
-                               const double* x, double* dx) const override;
+  [[nodiscard]] bool deriv_batch(double t, std::size_t nb, const double* x,
+                                 double* dx) const override;
   [[nodiscard]] std::string name() const override;
 
   [[nodiscard]] std::size_t threshold() const noexcept { return threshold_; }

@@ -57,8 +57,9 @@ void TransferTimeWS::deriv(double /*t*/, const ode::State& x,
   }
 }
 
-bool TransferTimeWS::rhs_batch(std::size_t nb, const double* lambdas,
-                               const double* x, double* dx) const {
+bool TransferTimeWS::deriv_batch(double /*t*/, std::size_t nb, const double* x,
+                                 double* dx) const {
+  const double lam = lambda_;
   const std::size_t L = trunc_;
   const std::size_t T = threshold_;
   const std::size_t W = L + 1;  // offset of the w block (in components)
@@ -85,7 +86,6 @@ bool TransferTimeWS::rhs_batch(std::size_t nb, const double* lambdas,
     double* outs = dx + i * nb;
     double* outw = dx + (W + i) * nb;
     for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
       outs[l] = lam * (sp[l] - si[l]) + rate_ * wp[l] - (si[l] - sn[l]);
       outw[l] = lam * (wp[l] - wi[l]) - rate_ * wi[l] - (wi[l] - wn[l]);
     }
@@ -100,7 +100,6 @@ bool TransferTimeWS::rhs_batch(std::size_t nb, const double* lambdas,
     double* outs = dx + i * nb;
     double* outw = dx + (W + i) * nb;
     for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
       const double thief = s1[l] - s2[l];
       outs[l] = lam * (sp[l] - si[l]) + rate_ * wp[l] - (si[l] - sn[l]) -
                 (si[l] - sn[l]) * thief;
@@ -116,7 +115,6 @@ bool TransferTimeWS::rhs_batch(std::size_t nb, const double* lambdas,
     double* outs = dx + L * nb;
     double* outw = dx + (W + L) * nb;
     for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
       const double thief = s1[l] - s2[l];
       outs[l] = lam * (sp[l] - si[l]) + rate_ * wp[l] - (si[l] - 0.0) -
                 (si[l] - 0.0) * thief;
@@ -141,9 +139,9 @@ void TransferTimeWS::root_residual(const ode::State& x, ode::State& f) const {
   f[w_index(0)] = 1.0 - x[0] - x[w_index(0)];
 }
 
-bool TransferTimeWS::root_residual_batch(std::size_t nb, const double* lambdas,
-                                         const double* x, double* f) const {
-  if (!rhs_batch(nb, lambdas, x, f)) return false;
+bool TransferTimeWS::root_residual_batch(std::size_t nb, const double* x,
+                                         double* f) const {
+  if (!deriv_batch(0.0, nb, x, f)) return false;
   const std::size_t W = trunc_ + 1;
   // Same constraint swap as root_residual, on the w_0 component row.
   for (std::size_t l = 0; l < nb; ++l) {

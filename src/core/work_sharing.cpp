@@ -47,8 +47,9 @@ void WorkSharingWS::deriv(double /*t*/, const ode::State& s,
   }
 }
 
-bool WorkSharingWS::rhs_batch(std::size_t nb, const double* lambdas,
-                              const double* x, double* dx) const {
+bool WorkSharingWS::deriv_batch(double /*t*/, std::size_t nb, const double* x,
+                                double* dx) const {
+  const double lam = lambda_;
   const std::size_t L = trunc_;
   const std::size_t S = threshold_;
   // Rows split at S so the direct-arrival term is hoisted out of each
@@ -62,7 +63,6 @@ bool WorkSharingWS::rhs_batch(std::size_t nb, const double* lambdas,
     const double* sn = x + (i + 1) * nb;  // i <= S < L - 1, tracked
     double* out = dx + i * nb;
     for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
       out[l] = (lam + lam * sS[l]) * (sp[l] - si[l]) - (si[l] - sn[l]);
     }
   }
@@ -72,7 +72,6 @@ bool WorkSharingWS::rhs_batch(std::size_t nb, const double* lambdas,
     const double* sn = x + (i + 1) * nb;
     double* out = dx + i * nb;
     for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
       out[l] = (0.0 + lam * sS[l]) * (sp[l] - si[l]) - (si[l] - sn[l]);
     }
   }
@@ -81,7 +80,6 @@ bool WorkSharingWS::rhs_batch(std::size_t nb, const double* lambdas,
     const double* si = x + L * nb;
     double* out = dx + L * nb;
     for (std::size_t l = 0; l < nb; ++l) {
-      const double lam = lambdas != nullptr ? lambdas[l] : lambda_;
       out[l] = (0.0 + lam * sS[l]) * (sp[l] - si[l]) - (si[l] - 0.0);
     }
   }

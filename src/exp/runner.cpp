@@ -3,19 +3,15 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <memory>
 #include <sstream>
 #include <thread>
 
 #include "core/fixed_point.hpp"
-#include "parallel/parallel_for.hpp"
 #include "sim/replicate.hpp"
-#include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/failure.hpp"
 #include "util/fault_injection.hpp"
@@ -23,11 +19,6 @@
 namespace lsm::exp {
 
 namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 /// λ equality within a few ulps, so grid arithmetic (0.1 * 9) still finds
 /// the 0.9 job while adjacent grid points (≥ 1e-3 apart in practice)
@@ -61,18 +52,6 @@ util::Json tail_json(const std::vector<double>& tail) {
 }
 
 }  // namespace
-
-std::string RunnerOptions::default_artifact_dir() {
-  if (const char* v = std::getenv("LSM_ARTIFACTS")) return v;
-  return ".lsm-artifacts";
-}
-
-OnFailure RunnerOptions::default_on_failure() {
-  if (const char* v = std::getenv("LSM_ON_FAILURE")) {
-    if (std::string(v) == "report") return OnFailure::Report;
-  }
-  return OnFailure::Abort;
-}
 
 JobResult execute_job(const Job& job, core::FixedPointContinuation* chain,
                       std::uint64_t attempt) {
@@ -151,54 +130,6 @@ JobResult execute_job(const Job& job, core::FixedPointContinuation* chain,
     r.message_rate = rate / static_cast<double>(rep.replications.size());
   }
   return r;
-}
-
-Runner::Runner(RunnerOptions opts) : opts_(std::move(opts)) {}
-
-RunReport Runner::run(const ExperimentSpec& spec) {
-  const auto t0 = std::chrono::steady_clock::now();
-  RunReport report;
-  report.spec_name = spec.name;
-  report.jobs = spec.expand();
-
-  std::unique_ptr<par::ThreadPool> owned;
-  par::ThreadPool* pool = opts_.pool;
-  if (pool == nullptr) {
-    owned = std::make_unique<par::ThreadPool>(
-        opts_.threads > 0 ? opts_.threads : util::worker_threads());
-    pool = owned.get();
-  }
-  report.threads = pool->size();
-
-  const ResultCache local_cache(opts_.cache != nullptr ? ""
-                                                       : opts_.cache_dir);
-  const ResultCache& cache =
-      opts_.cache != nullptr ? *opts_.cache : local_cache;
-  report.results =
-      par::parallel_map(*pool, report.jobs.size(), [&](std::size_t i) {
-        const Job& job = report.jobs[i];
-        const auto job_t0 = std::chrono::steady_clock::now();
-        JobResult r = detail::run_isolated(
-            job, opts_.on_failure, opts_.retry, [&](std::uint64_t attempt) {
-              JobResult out;
-              out.label = job.label;
-              out.lambda = job.lambda;
-              out.key = job.key();
-              if (cache.load(out.key, out)) {
-                out.cache_hit = true;
-              } else {
-                out = execute_job(job, nullptr, attempt);
-                detail::store_quietly(cache, out.key, out);
-              }
-              return out;
-            });
-        r.wall_seconds = seconds_since(job_t0);
-        return r;
-      });
-
-  report.wall_seconds = seconds_since(t0);
-  detail::finalize_report(report, opts_.artifact_dir);
-  return report;
 }
 
 JobResult detail::run_isolated(

@@ -1,21 +1,15 @@
-// Parallel sharded experiment runner with result caching and run
-// observability — the engine behind the table/figure benches.
-//
-// Runner::run expands an ExperimentSpec into Jobs, shards them across a
-// thread pool (each job runs its replications serially on deterministic
-// per-replication jump streams, so results are byte-identical regardless
-// of the thread count), consults the on-disk ResultCache before
-// computing anything, and emits structured artifacts: a CSV of all job
+// The unit of work behind exp::SweepRunner (exp/sweep.hpp) and the report
+// it returns: execute_job computes one (entry, λ) job, RunReport collects
+// a run's results in spec order and emits its artifacts (a CSV of all job
 // outputs plus a JSON run manifest with per-job wall time, event counts,
-// cache provenance and aggregate steal statistics.
+// cache provenance and aggregate steal statistics), and the detail::
+// helpers hold the failure policy (retries, isolation) and the atomic
+// artifact writes.
 //
-// Scheduling independence: par::ThreadPool is a work-stealing pool, so
-// which worker executes a job — and in what order jobs complete — is
-// nondeterministic. That is fine by contract: a Job's results are a pure
-// function of (spec.seed, entry, lambda, replication count); no state
-// flows between jobs, and the report assembles results by spec order,
-// not completion order. tests/exp_runner_test.cpp pins this down by
-// comparing timing-free manifests across pool widths 1, 2 and 8.
+// A Job's results are a pure function of (spec.seed, entry, lambda,
+// replication count, solver annotations): each job runs its replications
+// serially on deterministic per-replication jump streams, so no result
+// depends on which pool worker ran it or in what order jobs completed.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +20,6 @@
 #include "exp/cache.hpp"
 #include "exp/result.hpp"
 #include "exp/spec.hpp"
-#include "parallel/thread_pool.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
 
@@ -40,7 +33,7 @@ namespace lsm::exp {
 enum class OnFailure {
   /// The first job failure (after retries) aborts the whole run: a
   /// util::FailureError with the job identity attached propagates out of
-  /// Runner::run. The pre-isolation behaviour, and the safe default for
+  /// SweepRunner::run. The pre-isolation behaviour, and the safe default for
   /// golden-table benches.
   Abort,
   /// Failures are isolated: the job's JobResult carries status = Failed
@@ -59,31 +52,7 @@ struct RetryPolicy {
   double max_backoff_seconds = 1.0;
 };
 
-struct RunnerOptions {
-  /// External pool to shard jobs on; nullptr spawns a private pool of
-  /// `threads` workers (0 = util::worker_threads()).
-  par::ThreadPool* pool = nullptr;
-  unsigned threads = 0;
-  /// "" disables caching. Defaults to LSM_CACHE_DIR / ".lsm-cache".
-  std::string cache_dir = ResultCache::default_dir();
-  /// Shared cache instance to consult instead of constructing one from
-  /// cache_dir — the serve daemon points every request's run at one
-  /// process-wide cache so its hit/miss/quarantine counters aggregate
-  /// across clients. ResultCache::load/store are const and safe to call
-  /// concurrently. Not owned; must outlive the run.
-  const ResultCache* cache = nullptr;
-  /// Directory for the manifest + CSV; "" disables artifact emission.
-  /// Defaults to LSM_ARTIFACTS / ".lsm-artifacts".
-  std::string artifact_dir = default_artifact_dir();
-  /// Abort (default) vs Report; LSM_ON_FAILURE=report flips the default.
-  OnFailure on_failure = default_on_failure();
-  RetryPolicy retry{};
-
-  [[nodiscard]] static std::string default_artifact_dir();
-  [[nodiscard]] static OnFailure default_on_failure();
-};
-
-/// Everything one Runner::run produced, in spec order.
+/// Everything one SweepRunner::run produced, in spec order.
 struct RunReport {
   std::string spec_name;
   std::vector<Job> jobs;
@@ -131,35 +100,23 @@ struct RunReport {
   [[nodiscard]] std::string summary() const;
 };
 
-class Runner {
- public:
-  explicit Runner(RunnerOptions opts = {});
-
-  /// Runs every job of `spec` (cache-first), writes artifacts, returns
-  /// the report. Exceptions from any job propagate to the caller.
-  [[nodiscard]] RunReport run(const ExperimentSpec& spec);
-
- private:
-  RunnerOptions opts_;
-};
-
 /// Computes one job without cache or pool; the unit of work the runner
-/// shards. Exposed for tests. With a non-null `chain` the estimate side
+/// schedules. Exposed for tests. With a non-null `chain` the estimate side
 /// solves through the continuation (warm-started from the chain's carried
-/// state, which the call then updates); nullptr solves cold, exactly as
-/// before. `attempt` (1-based) only feeds the fault-injection hooks, so
-/// a retry draws a fresh deterministic fault decision.
+/// state, which the call then updates); nullptr solves cold. `attempt`
+/// (1-based) only feeds the fault-injection hooks, so a retry draws a
+/// fresh deterministic fault decision.
 [[nodiscard]] JobResult execute_job(
     const Job& job, core::FixedPointContinuation* chain = nullptr,
     std::uint64_t attempt = 1);
 
 namespace detail {
 
-/// Report finalization shared by Runner and SweepRunner: fills the
-/// aggregate cache/event/failure counters from `report.results` and,
-/// when `artifact_dir` and the spec name are non-empty, writes the
-/// manifest + CSV artifacts atomically (recording their paths in the
-/// report). Artifact I/O failures degrade to report.artifact_error.
+/// Report finalization: fills the aggregate cache/event/failure counters
+/// from `report.results` and, when `artifact_dir` and the spec name are
+/// non-empty, writes the manifest + CSV artifacts atomically (recording
+/// their paths in the report). Artifact I/O failures degrade to
+/// report.artifact_error.
 void finalize_report(RunReport& report, const std::string& artifact_dir);
 
 /// Runs `fn(attempt)` under the failure policy: a retryable failure

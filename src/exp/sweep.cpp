@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <utility>
@@ -206,6 +207,18 @@ SweepSpec SweepSpec::from(ExperimentSpec spec) {
     }
   }
   return {std::move(spec)};
+}
+
+std::string SweepOptions::default_artifact_dir() {
+  if (const char* v = std::getenv("LSM_ARTIFACTS")) return v;
+  return ".lsm-artifacts";
+}
+
+OnFailure SweepOptions::default_on_failure() {
+  if (const char* v = std::getenv("LSM_ON_FAILURE")) {
+    if (std::string(v) == "report") return OnFailure::Report;
+  }
+  return OnFailure::Abort;
 }
 
 SweepRunner::SweepRunner(SweepOptions opts) : opts_(std::move(opts)) {}

@@ -1,15 +1,23 @@
-// Warm-started λ-sweep execution for experiment specs.
+// The experiment runner: executes an ExperimentSpec over a thread pool,
+// cache-first, and returns one RunReport (exp/runner.hpp).
 //
-// Runner shards by point: every (entry, λ) job is independent, which is
-// right for the simulation-heavy side but leaves the mean-field side
-// solving every λ from scratch. A sweep over an ordered λ grid is a
-// continuation problem — neighbouring fixed points are close, so the
-// previous point's converged tail state, truncation level and Newton
-// factorization are a far better start than a cold solve. SweepRunner
-// therefore shards the ESTIMATE side by grid entry — one chain per
-// model, points solved in λ order through a core::FixedPointContinuation
-// — while the simulation side still fans out per point; the partial
-// results merge into one Runner-compatible RunReport.
+// The paper works every table out as one fixed point per λ, and a sweep
+// over an ordered λ grid is a continuation problem — neighbouring fixed
+// points are close, so the previous point's converged tail state,
+// truncation level and Newton factorization are a far better start than a
+// cold solve. SweepRunner therefore shards the ESTIMATE side by grid entry
+// — one chain per model, points solved in λ order through a
+// core::FixedPointContinuation — while the simulation side fans out per
+// point; the partial results merge into one RunReport in spec order.
+// With SweepOptions::warm = false every estimate point solves cold under
+// its plain cold key, exactly as a standalone execute_job of it would.
+//
+// Scheduling independence: par::ThreadPool is a work-stealing pool, so
+// which worker executes a unit — and in what order units complete — is
+// nondeterministic. No state flows between units and the merge is by
+// spec order, so the report is identical across pool widths
+// (tests/exp_runner_test.cpp compares timing-free manifests across
+// widths 1, 2 and 8).
 //
 // Caching: chained estimate results are cached under warm-aware keys
 // (Job::solver and the full warm_chain prefix feed the content hash)
@@ -25,6 +33,7 @@
 
 #include "exp/runner.hpp"
 #include "exp/spec.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace lsm::exp {
 
@@ -46,12 +55,15 @@ struct SweepOptions {
   unsigned threads = 0;
   /// "" disables caching. Defaults to LSM_CACHE_DIR / ".lsm-cache".
   std::string cache_dir = ResultCache::default_dir();
-  /// Shared cache instance used instead of cache_dir when non-null (see
-  /// RunnerOptions::cache): one process-wide cache whose counters span
-  /// every request the serve daemon executes. Not owned.
+  /// Shared cache instance to consult instead of constructing one from
+  /// cache_dir — the serve daemon points every request's run at one
+  /// process-wide cache so its hit/miss/quarantine counters aggregate
+  /// across clients. ResultCache::load/store are const and safe to call
+  /// concurrently. Not owned; must outlive the run.
   const ResultCache* cache = nullptr;
   /// Directory for the manifest + CSV; "" disables artifact emission.
-  std::string artifact_dir = RunnerOptions::default_artifact_dir();
+  /// Defaults to LSM_ARTIFACTS / ".lsm-artifacts".
+  std::string artifact_dir = default_artifact_dir();
   /// Warm continuation along each entry's λ chain. false solves every
   /// point cold under plain cold keys — the reference mode the warm path
   /// is validated against (fixed_point_property_test asserts the two
@@ -61,7 +73,7 @@ struct SweepOptions {
   /// isolated and the REST OF THE CHAIN COLD-RESTARTS: the failed point
   /// left no trustworthy state to continue from, so the next point solves
   /// cold (keyed as such) and warm chaining resumes behind it.
-  OnFailure on_failure = RunnerOptions::default_on_failure();
+  OnFailure on_failure = default_on_failure();
   RetryPolicy retry{};
   /// Streaming progress: called once per completed work-unit half (an
   /// estimate chain point, or a simulated point) with the job's index in
@@ -77,11 +89,15 @@ struct SweepOptions {
   /// Checked between points — a cancel lands within one point's solve
   /// time. Cancelled points are never cached.
   const std::atomic<bool>* cancel = nullptr;
+
+  [[nodiscard]] static std::string default_artifact_dir();
+  /// Abort, or Report when LSM_ON_FAILURE=report.
+  [[nodiscard]] static OnFailure default_on_failure();
 };
 
 /// Executes a SweepSpec: estimate chains per entry, simulations per
-/// point, merged into the same RunReport shape Runner produces (results
-/// parallel to jobs in spec order, deterministic across thread counts).
+/// point, merged into one RunReport (results parallel to jobs in spec
+/// order, deterministic across thread counts).
 class SweepRunner {
  public:
   explicit SweepRunner(SweepOptions opts = {});

@@ -29,6 +29,7 @@
 #include "core/work_sharing.hpp"     // IWYU pragma: export
 #include "exp/runner.hpp"            // IWYU pragma: export
 #include "exp/spec.hpp"              // IWYU pragma: export
+#include "exp/sweep.hpp"             // IWYU pragma: export
 #include "ode/integrator.hpp"        // IWYU pragma: export
 #include "ode/newton.hpp"            // IWYU pragma: export
 #include "ode/steady_state.hpp"      // IWYU pragma: export

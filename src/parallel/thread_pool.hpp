@@ -14,7 +14,7 @@
 // submitted task runs exactly once — scheduling order is unspecified,
 // which is why every simulation result must be (and is) independent of
 // which worker runs which job (per-replication RNG jump streams; see
-// exp::Runner).
+// sim::replicate).
 #pragma once
 
 #include <condition_variable>

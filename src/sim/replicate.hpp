@@ -21,15 +21,14 @@ struct ReplicationResult {
   std::vector<SimResult> replications;
 };
 
-/// How to run a batch of replications. The single entry point subsumes the
-/// old (config, n[, pool]) overload pair.
+/// How to run a batch of replications.
 struct ReplicateOptions {
   std::size_t replications = 1;
   /// Workers to fan the replications across; nullptr runs them serially on
   /// the calling thread (same results either way).
   par::ThreadPool* pool = nullptr;
   /// When set, overrides SimConfig::collect_sojourns for every replication.
-  std::optional<bool> collect_sojourns;
+  std::optional<bool> collect_sojourns{};
 };
 
 /// Runs `opts.replications` copies of `config` (seeded from config.seed via
@@ -37,12 +36,5 @@ struct ReplicateOptions {
 /// schedule.
 [[nodiscard]] ReplicationResult replicate(const SimConfig& config,
                                           const ReplicateOptions& opts);
-
-/// Deprecated shims for the pre-ReplicateOptions API.
-[[nodiscard]] ReplicationResult replicate(const SimConfig& config,
-                                          std::size_t replications,
-                                          par::ThreadPool& pool);
-[[nodiscard]] ReplicationResult replicate(const SimConfig& config,
-                                          std::size_t replications);
 
 }  // namespace lsm::sim

@@ -1,6 +1,7 @@
 // Tests for the experiment-runner subsystem: grid expansion, content
-// hashing, determinism across pool widths, the disk result cache, and the
-// warm-started λ-sweep runner (solver-aware keys, state round-trips, warm
+// hashing, the disk result cache, and exp::SweepRunner — its run report,
+// artifacts and determinism across pool widths (the `Runner` cases), and
+// its warm-started λ chains (solver-aware keys, state round-trips, warm
 // resume, warm-vs-cold agreement).
 #include <gtest/gtest.h>
 
@@ -61,11 +62,13 @@ exp::ExperimentSpec small_spec() {
   return spec;
 }
 
-exp::RunnerOptions options(const TempDir& cache, unsigned threads) {
-  exp::RunnerOptions opts;
+exp::SweepOptions options(const TempDir& cache, unsigned threads,
+                          bool warm = true) {
+  exp::SweepOptions opts;
   opts.threads = threads;
   opts.cache_dir = cache.path.string();
   opts.artifact_dir = "";  // no artifacts unless a test asks for them
+  opts.warm = warm;
   return opts;
 }
 
@@ -111,7 +114,7 @@ TEST(Runner, ManifestIsIdenticalAcrossPoolWidths) {
   std::string reference;
   for (const unsigned threads : {1u, 2u, 8u}) {
     const TempDir cache("det" + std::to_string(threads));
-    exp::Runner runner(options(cache, threads));
+    exp::SweepRunner runner(options(cache, threads));
     const auto report = runner.run(small_spec());
     EXPECT_EQ(report.cache_misses, 4u);
     const std::string manifest =
@@ -129,13 +132,13 @@ TEST(Runner, SecondRunIsAllCacheHitsAndSimulatesNothing) {
   const TempDir cache("roundtrip");
   const auto spec = small_spec();
 
-  exp::Runner first(options(cache, 2));
+  exp::SweepRunner first(options(cache, 2));
   const auto cold = first.run(spec);
   EXPECT_EQ(cold.cache_hits, 0u);
   EXPECT_EQ(cold.cache_misses, 4u);
   EXPECT_GT(cold.events_simulated, 0u);
 
-  exp::Runner second(options(cache, 2));
+  exp::SweepRunner second(options(cache, 2));
   const auto warm = second.run(spec);
   EXPECT_EQ(warm.cache_hits, 4u);
   EXPECT_EQ(warm.cache_misses, 0u);
@@ -160,7 +163,7 @@ TEST(Runner, WritesManifestAndCsvArtifacts) {
   const TempDir artifacts("artifacts");
   auto opts = options(cache, 2);
   opts.artifact_dir = artifacts.path.string();
-  exp::Runner runner(opts);
+  exp::SweepRunner runner(opts);
   const auto report = runner.run(small_spec());
 
   ASSERT_FALSE(report.manifest_path.empty());
@@ -181,7 +184,7 @@ TEST(Runner, WritesManifestAndCsvArtifacts) {
 
 TEST(Runner, ReportLookupAndOutputs) {
   const TempDir cache("lookup");
-  exp::Runner runner(options(cache, 2));
+  exp::SweepRunner runner(options(cache, 2));
   const auto report = runner.run(small_spec());
 
   // Simulated and estimated sojourns are close for the simple model.
@@ -206,11 +209,11 @@ TEST(Runner, ReportLookupAndOutputs) {
 TEST(Runner, ExternalPoolIsUsable) {
   const TempDir cache("extpool");
   par::ThreadPool pool(3);
-  exp::RunnerOptions opts;
+  exp::SweepOptions opts;
   opts.pool = &pool;
   opts.cache_dir = cache.path.string();
   opts.artifact_dir = "";
-  exp::Runner runner(opts);
+  exp::SweepRunner runner(opts);
   const auto report = runner.run(small_spec());
   EXPECT_EQ(report.threads, 3u);
   EXPECT_EQ(report.results.size(), 4u);
@@ -400,16 +403,6 @@ exp::ExperimentSpec est_sweep_spec() {
   return spec;
 }
 
-exp::SweepOptions sweep_options(const TempDir& cache, unsigned threads,
-                                bool warm = true) {
-  exp::SweepOptions opts;
-  opts.threads = threads;
-  opts.cache_dir = cache.path.string();
-  opts.artifact_dir = "";
-  opts.warm = warm;
-  return opts;
-}
-
 TEST(ExperimentSpec, SolverIdentityIsPartOfTheKey) {
   const auto jobs = small_spec().expand();
   const auto& cold = jobs[3];  // estimate-only job
@@ -472,7 +465,7 @@ TEST(SweepRunner, ManifestIsIdenticalAcrossPoolWidths) {
   std::string reference;
   for (const unsigned threads : {1u, 2u, 8u}) {
     const TempDir cache("sweep-det" + std::to_string(threads));
-    exp::SweepRunner runner(sweep_options(cache, threads));
+    exp::SweepRunner runner(options(cache, threads));
     const auto report = runner.run(est_sweep_spec());
     EXPECT_EQ(report.cache_misses, 8u);
     const std::string manifest =
@@ -492,17 +485,11 @@ TEST(SweepRunner, WarmAgreesWithColdRunnerToTolerance) {
   const auto spec = est_sweep_spec();
 
   const TempDir warm_cache("sweep-warm");
-  exp::SweepRunner warm_runner(sweep_options(warm_cache, 2, true));
+  exp::SweepRunner warm_runner(options(warm_cache, 2, true));
   const auto warm = warm_runner.run(spec);
 
   const TempDir cold_cache("sweep-cold");
-  exp::Runner cold_runner([&] {
-    exp::RunnerOptions opts;
-    opts.threads = 2;
-    opts.cache_dir = cold_cache.path.string();
-    opts.artifact_dir = "";
-    return opts;
-  }());
+  exp::SweepRunner cold_runner(options(cold_cache, 2, false));
   const auto cold = cold_runner.run(spec);
 
   ASSERT_EQ(warm.results.size(), cold.results.size());
@@ -513,7 +500,7 @@ TEST(SweepRunner, WarmAgreesWithColdRunnerToTolerance) {
     EXPECT_NEAR(w.est_sojourn, c.est_sojourn,
                 1e-9 * std::max(1.0, std::abs(c.est_sojourn)))
         << w.label << " λ=" << w.lambda;
-    // Chain heads run the standalone cold solve: bit-identical to Runner.
+    // Chain heads run the standalone cold solve: bit-identical.
     if (w.lambda == spec.lambdas.front()) {
       EXPECT_EQ(w.est_sojourn, c.est_sojourn) << w.label;
     }
@@ -521,30 +508,24 @@ TEST(SweepRunner, WarmAgreesWithColdRunnerToTolerance) {
 }
 
 TEST(SweepRunner, ColdModeMatchesRunnerBitForBit) {
+  // The reference is the point-by-point schedule: every job of the spec
+  // computed on its own by execute_job, serially and without a cache.
   const auto spec = est_sweep_spec();
 
   const TempDir sweep_cache("sweepmode-cold");
-  exp::SweepRunner sweep_runner(sweep_options(sweep_cache, 2, false));
+  exp::SweepRunner sweep_runner(options(sweep_cache, 2, false));
   const auto via_sweep = sweep_runner.run(spec);
 
-  const TempDir runner_cache("plain-cold");
-  exp::Runner runner([&] {
-    exp::RunnerOptions opts;
-    opts.threads = 2;
-    opts.cache_dir = runner_cache.path.string();
-    opts.artifact_dir = "";
-    return opts;
-  }());
-  const auto via_runner = runner.run(spec);
-
-  ASSERT_EQ(via_sweep.results.size(), via_runner.results.size());
-  for (std::size_t i = 0; i < via_sweep.results.size(); ++i) {
-    EXPECT_EQ(via_sweep.results[i].est_sojourn,
-              via_runner.results[i].est_sojourn)
+  const auto jobs = spec.expand();
+  ASSERT_EQ(via_sweep.results.size(), jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const auto serial = exp::execute_job(jobs[i]);
+    EXPECT_EQ(via_sweep.results[i].est_sojourn, serial.est_sojourn) << i;
+    EXPECT_EQ(via_sweep.results[i].est_rhs_evals, serial.est_rhs_evals)
         << i;
-    // Estimate-only cold sweep jobs are keyed exactly like Runner's, so
-    // the two schedulers share cache entries.
-    EXPECT_EQ(via_sweep.results[i].key, via_runner.results[i].key) << i;
+    // Cold sweep jobs keep the plain cold key, so a cold sweep and a
+    // standalone solve of the same point share one cache entry.
+    EXPECT_EQ(via_sweep.results[i].key, serial.key) << i;
   }
 }
 
@@ -553,19 +534,19 @@ TEST(SweepRunner, InterruptedSweepResumesWarmFromCache) {
 
   // Uninterrupted reference, fresh cache each time.
   const TempDir ref_cache("sweep-ref");
-  exp::SweepRunner ref_runner(sweep_options(ref_cache, 2));
+  exp::SweepRunner ref_runner(options(ref_cache, 2));
   const auto reference = ref_runner.run(est_sweep_spec());
 
   // "Interrupted" sweep: the first two λ of the same chains.
   auto prefix = est_sweep_spec();
   prefix.lambdas = {0.5, 0.65};
-  exp::SweepRunner first(sweep_options(cache, 2));
+  exp::SweepRunner first(options(cache, 2));
   const auto partial = first.run(prefix);
   EXPECT_EQ(partial.cache_misses, 4u);
 
   // Re-running the full grid hits the prefix (same warm keys) and solves
   // only the remaining points, warm-seeded from the cached states.
-  exp::SweepRunner second(sweep_options(cache, 2));
+  exp::SweepRunner second(options(cache, 2));
   const auto resumed = second.run(est_sweep_spec());
   EXPECT_EQ(resumed.cache_hits, 4u);
   EXPECT_EQ(resumed.cache_misses, 4u);
@@ -578,7 +559,7 @@ TEST(SweepRunner, InterruptedSweepResumesWarmFromCache) {
   }
 
   // A third run is pure cache.
-  exp::SweepRunner third(sweep_options(cache, 2));
+  exp::SweepRunner third(options(cache, 2));
   const auto replay = third.run(est_sweep_spec());
   EXPECT_EQ(replay.cache_hits, 8u);
   EXPECT_EQ(replay.cache_misses, 0u);
@@ -590,7 +571,7 @@ TEST(SweepRunner, InterruptedSweepResumesWarmFromCache) {
 TEST(SweepRunner, MixedSimAndEstimateEntriesMergeIntoOneReport) {
   const TempDir cache("sweep-mixed");
   auto spec = small_spec();  // one sim+est entry, one est-only entry
-  exp::SweepRunner runner(sweep_options(cache, 2));
+  exp::SweepRunner runner(options(cache, 2));
   const auto report = runner.run(spec);
 
   ASSERT_EQ(report.results.size(), 4u);
@@ -601,7 +582,7 @@ TEST(SweepRunner, MixedSimAndEstimateEntriesMergeIntoOneReport) {
   EXPECT_NEAR(report.sim("steal", 0.5), report.estimate("steal", 0.5), 0.25);
 
   // Second run: every half cached, nothing simulated.
-  exp::SweepRunner again(sweep_options(cache, 2));
+  exp::SweepRunner again(options(cache, 2));
   const auto warm = again.run(spec);
   EXPECT_EQ(warm.cache_hits, 4u);
   EXPECT_EQ(warm.events_simulated, 0u);

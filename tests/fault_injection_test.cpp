@@ -1,13 +1,14 @@
 // Fault-tolerance suite: the deterministic fault injector itself, solver
 // budgets (eval + wall) through core::solve_fixed_point, injected solver
-// divergence, and the end-to-end acceptance scenarios — a 30-job run
-// under injected faults that isolates exactly the predicted jobs, retries
-// with backoff, stays bit-identical to a clean run on the non-faulted
-// jobs and resumes from cache; crash-safe artifact emission degrading to
+// divergence, and the end-to-end acceptance scenarios — a 30-job cold
+// sweep under injected faults that isolates exactly the predicted job
+// halves, retries with backoff, stays bit-identical to a clean run on
+// everything not faulted and resumes from cache; crash-safe artifact emission degrading to
 // a warning; and a λ-sweep whose chain cold-restarts after an injected
 // divergence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -16,7 +17,6 @@
 
 #include "core/fixed_point.hpp"
 #include "core/registry.hpp"
-#include "exp/runner.hpp"
 #include "exp/spec.hpp"
 #include "exp/sweep.hpp"
 #include "util/failure.hpp"
@@ -259,8 +259,12 @@ exp::ExperimentSpec acceptance_spec() {
   return spec;
 }
 
-exp::RunnerOptions fault_options(const TempDir& cache) {
-  exp::RunnerOptions opts;
+/// Cold sweeps: every point solves on its own, so a faulted point never
+/// changes how its neighbours are solved and the clean reference stays
+/// bit-comparable point by point.
+exp::SweepOptions fault_options(const TempDir& cache) {
+  exp::SweepOptions opts;
+  opts.warm = false;
   opts.threads = 4;
   opts.cache_dir = cache.path.string();
   opts.artifact_dir = "";
@@ -269,9 +273,9 @@ exp::RunnerOptions fault_options(const TempDir& cache) {
   return opts;
 }
 
-/// Predicted attempt count for a job under the injector: the attempt at
-/// which JobFault first declines to fire, or max_attempts if every
-/// attempt faults (in which case the job ends Failed).
+/// Predicted attempt count for one work unit under the injector: the
+/// attempt at which JobFault first declines to fire, or max_attempts if
+/// every attempt faults (in which case the unit ends Failed).
 std::uint32_t predicted_attempts(const exp::Job& job, std::size_t max_attempts,
                                  bool& fails) {
   const auto& inj = util::FaultInjector::instance();
@@ -292,7 +296,7 @@ TEST(FaultRunner, IsolatesPredictedJobsRetriesAndResumes) {
 
   // Clean reference, injector disarmed.
   const TempDir ref_cache("accept-ref");
-  exp::Runner ref_runner(fault_options(ref_cache));
+  exp::SweepRunner ref_runner(fault_options(ref_cache));
   const auto reference = ref_runner.run(spec);
   ASSERT_EQ(reference.results.size(), 30u);
   ASSERT_EQ(reference.failed_jobs, 0u);
@@ -307,36 +311,55 @@ TEST(FaultRunner, IsolatesPredictedJobsRetriesAndResumes) {
   auto opts = fault_options(cache);
   opts.artifact_dir = artifacts.path.string();
   opts.on_failure = exp::OnFailure::Report;
-  exp::Runner runner(opts);
+  exp::SweepRunner runner(opts);
   const auto report = runner.run(spec);
 
   // should_fail() is pure, so the test can predict the outcome of every
-  // job before looking at the report.
+  // job before looking at the report. The runner executes a job as up to
+  // two independent units — its estimate half (fault context ".../e") and
+  // its simulation half (".../s") — and the job fails when either does.
   const auto jobs = spec.expand();
   std::size_t predicted_failed = 0;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    bool fails = false;
-    const auto attempts =
-        predicted_attempts(jobs[i], opts.retry.max_attempts, fails);
+    bool est_fails = false, sim_fails = false;
+    std::uint32_t attempts = 0;
+    if (jobs[i].estimate) {
+      exp::Job half = jobs[i];
+      half.simulate = false;
+      attempts = std::max(
+          attempts,
+          predicted_attempts(half, opts.retry.max_attempts, est_fails));
+    }
+    if (jobs[i].simulate) {
+      exp::Job half = jobs[i];
+      half.estimate = false;
+      attempts = std::max(
+          attempts,
+          predicted_attempts(half, opts.retry.max_attempts, sim_fails));
+    }
     const auto& r = report.results[i];
-    if (fails) {
+    const auto& c = reference.results[i];
+    EXPECT_EQ(r.attempts, attempts) << jobs[i].fault_context();
+    // The halves that survived carry their outputs, bit-identical to the
+    // clean run: faults touched only the faulted halves.
+    EXPECT_EQ(r.has_estimate, jobs[i].estimate && !est_fails) << i;
+    EXPECT_EQ(r.has_sim, jobs[i].simulate && !sim_fails) << i;
+    if (r.has_estimate) {
+      EXPECT_EQ(r.est_sojourn, c.est_sojourn) << i;
+      EXPECT_EQ(r.est_tail, c.est_tail) << i;
+    }
+    if (r.has_sim) {
+      EXPECT_EQ(r.sim_sojourn.mean, c.sim_sojourn.mean) << i;
+      EXPECT_EQ(r.events, c.events) << i;
+      EXPECT_EQ(r.sim_tail, c.sim_tail) << i;
+    }
+    if (est_fails || sim_fails) {
       ++predicted_failed;
       EXPECT_EQ(r.status, exp::JobStatus::Failed) << jobs[i].fault_context();
       EXPECT_NE(r.error.find("injected job fault"), std::string::npos);
       EXPECT_EQ(r.error_kind, "job-fault");
-      EXPECT_EQ(r.attempts, attempts);
-      EXPECT_FALSE(r.has_estimate);
-      EXPECT_FALSE(r.has_sim);
     } else {
       EXPECT_EQ(r.status, exp::JobStatus::Ok) << jobs[i].fault_context();
-      EXPECT_EQ(r.attempts, attempts);
-      // Bit-identical to the clean run: faults touched only faulted jobs.
-      const auto& c = reference.results[i];
-      EXPECT_EQ(r.est_sojourn, c.est_sojourn) << i;
-      EXPECT_EQ(r.sim_sojourn.mean, c.sim_sojourn.mean) << i;
-      EXPECT_EQ(r.events, c.events) << i;
-      EXPECT_EQ(r.est_tail, c.est_tail) << i;
-      EXPECT_EQ(r.sim_tail, c.sim_tail) << i;
     }
   }
   // The chosen seed must exercise both outcomes and at least one retry.
@@ -379,10 +402,10 @@ TEST(FaultRunner, IsolatesPredictedJobsRetriesAndResumes) {
   }
 
   // Disarmed re-run over the SAME cache: the ok jobs replay from cache,
-  // the failed ones (never cached) recompute cleanly, and everything is
+  // the failed halves (never cached) recompute cleanly, and everything is
   // bit-identical to the reference.
   inj.disarm();
-  exp::Runner resume_runner(fault_options(cache));
+  exp::SweepRunner resume_runner(fault_options(cache));
   const auto resumed = resume_runner.run(spec);
   EXPECT_EQ(resumed.failed_jobs, 0u);
   EXPECT_EQ(resumed.cache_hits, 30u - predicted_failed);
@@ -405,7 +428,7 @@ TEST(FaultRunner, AbortModeThrowsWithJobContext) {
   const TempDir cache("accept-abort");
   auto opts = fault_options(cache);
   opts.on_failure = exp::OnFailure::Abort;
-  exp::Runner runner(opts);
+  exp::SweepRunner runner(opts);
   try {
     (void)runner.run(acceptance_spec());
     FAIL() << "expected util::FailureError";
@@ -431,7 +454,7 @@ TEST(FaultRunner, ArtifactFaultDegradesToWarningAndLeavesNoPartialFiles) {
   auto opts = fault_options(cache);
   opts.artifact_dir = artifacts.path.string();
   opts.on_failure = exp::OnFailure::Report;
-  exp::Runner runner(opts);
+  exp::SweepRunner runner(opts);
   const auto report = runner.run(spec);
 
   // The compute finished and the failure is a recorded degrade, not a
@@ -463,7 +486,7 @@ TEST(FaultRunner, UnwritableArtifactDirDegradesToWarning) {
   spec.lambdas = {0.4};
   auto opts = fault_options(cache);
   opts.artifact_dir = blocker.string();
-  exp::Runner runner(opts);
+  exp::SweepRunner runner(opts);
   const auto report = runner.run(spec);
   EXPECT_FALSE(report.artifact_error.empty());
   EXPECT_TRUE(report.manifest_path.empty());

@@ -14,7 +14,6 @@
 #include <new>
 #include <vector>
 
-#include "core/batch.hpp"
 #include "core/threshold_ws.hpp"
 #include "ode/anderson.hpp"
 #include "ode/integrator.hpp"
@@ -138,30 +137,6 @@ TEST(HotLoopAlloc, GmresIterationsAllocationFree) {
   }
   EXPECT_EQ(allocations(), warm)
       << "warm GMRES solves must reuse the workspace buffers";
-}
-
-TEST(HotLoopAlloc, BatchedRhsEvaluatorAllocationFree) {
-  // All evaluator scratch is sized in the constructor; steady-state eval()
-  // calls (batched kernel AND per-lane arithmetic) stay off the heap.
-  core::SimpleWS lane_a(0.85, 96), lane_b(0.9, 96);
-  core::RhsBatchEvaluator eval({&lane_a, &lane_b});
-  const std::size_t dim = eval.dimension();
-  std::vector<double> x(dim * 2, 0.0), dx(dim * 2);
-  x[0] = x[1] = 1.0;
-  for (std::size_t i = 1; i < dim; ++i) {
-    x[i * 2] = x[(i - 1) * 2] * 0.8;
-    x[i * 2 + 1] = x[(i - 1) * 2 + 1] * 0.85;
-  }
-  eval.eval(x.data(), dx.data(), /*root=*/false);  // warm any lazy paths
-
-  const std::size_t warm = allocations();
-  for (int rep = 0; rep < 4; ++rep) {
-    eval.eval(x.data(), dx.data(), /*root=*/false);
-    eval.eval(x.data(), dx.data(), /*root=*/true);
-  }
-  EXPECT_EQ(allocations(), warm)
-      << "steady-state batched RHS evaluation must not touch the heap";
-  EXPECT_GT(eval.batch_passes(), 0U);
 }
 
 }  // namespace

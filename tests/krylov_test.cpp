@@ -3,8 +3,8 @@
 // finite-difference J.v against the analytic simple-WS Jacobian, parity of
 // the Krylov-polished fixed points with the dense-Newton engine across the
 // registry, the Auto routing of 10^3.5+-dimensional systems, and the
-// batched RHS kernels (bit-equality with the scalar path, per-lane
-// arrival rates, the scalar fallback, and the batched lambda sweep).
+// batched RHS kernels (bit-equality with the scalar path, and a batched
+// finite-difference Jacobian identical to the scalar assembly).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,12 +14,12 @@
 #include <tuple>
 #include <vector>
 
-#include "core/batch.hpp"
 #include "core/fixed_point.hpp"
 #include "core/registry.hpp"
 #include "core/threshold_ws.hpp"
 #include "ode/krylov.hpp"
 #include "ode/linalg.hpp"
+#include "ode/newton.hpp"
 #include "ode/solve.hpp"
 
 namespace {
@@ -320,124 +320,116 @@ TEST(KrylovDispatch, PolishSkipIsRecordedNotSilent) {
 
 // --- Batched RHS kernels -------------------------------------------------
 
-/// The six sweep models with batched kernels; explicit L pins a shared
-/// discretization across lanes.
-std::vector<std::unique_ptr<core::MeanFieldModel>> batched_lanes(
-    const std::string& name, const std::vector<double>& lambdas) {
-  std::vector<std::unique_ptr<core::MeanFieldModel>> lanes;
-  std::size_t trunc = 0;
-  for (const double lam : lambdas) {
-    lanes.push_back(core::make_model(name, lam));
-    trunc = std::max(trunc, lanes.back()->truncation());
-  }
-  for (auto& m : lanes) m->set_truncation(trunc);
-  return lanes;
-}
+/// The six models with batched kernels.
+constexpr const char* kBatchedModels[] = {"simple",      "threshold",
+                                          "multi-choice", "multi-steal",
+                                          "transfer",    "sharing"};
 
-TEST(BatchedRhs, BitEqualToScalarKernelWithPerLaneLambdas) {
-  const std::vector<double> lambdas = {0.5, 0.7, 0.8, 0.9};
-  const std::size_t nb = lambdas.size();
-  for (const char* name : {"simple", "threshold", "multi-choice",
-                           "multi-steal", "transfer", "sharing"}) {
-    auto lanes = batched_lanes(name, lambdas);
-    const std::size_t dim = lanes[0]->dimension();
-
-    // Distinct smooth state per lane so a lane mix-up cannot cancel out.
-    std::vector<double> x(dim * nb), dx(dim * nb);
-    ode::State lane_s(dim), lane_f(dim), batch_f(dim);
-    for (std::size_t l = 0; l < nb; ++l) {
-      const double decay = 0.6 + 0.08 * static_cast<double>(l);
-      x[0 * nb + l] = 1.0;
-      for (std::size_t i = 1; i < dim; ++i) {
-        x[i * nb + l] = x[(i - 1) * nb + l] * decay;
-      }
-    }
-
-    ASSERT_TRUE(lanes[0]->rhs_batch(nb, lambdas.data(), x.data(), dx.data()))
-        << name << " advertises no batched kernel";
-    for (std::size_t l = 0; l < nb; ++l) {
-      for (std::size_t i = 0; i < dim; ++i) lane_s[i] = x[i * nb + l];
-      lanes[l]->deriv(0.0, lane_s, lane_f);
-      for (std::size_t i = 0; i < dim; ++i) {
-        // Bit equality: the batched lanes promise the scalar arithmetic
-        // operation for operation, so solver trajectories are identical
-        // whichever path runs.
-        EXPECT_EQ(dx[i * nb + l], lane_f[i])
-            << name << " lane=" << l << " i=" << i;
-      }
-    }
-
-    // Same contract for the root-residual form the Newton phases consume.
-    core::RhsBatchEvaluator eval_root(
-        [&] {
-          std::vector<const core::MeanFieldModel*> ptrs;
-          for (const auto& m : lanes) ptrs.push_back(m.get());
-          return ptrs;
-        }());
-    eval_root.eval(x.data(), dx.data(), /*root=*/true);
-    for (std::size_t l = 0; l < nb; ++l) {
-      for (std::size_t i = 0; i < dim; ++i) lane_s[i] = x[i * nb + l];
-      lanes[l]->root_residual(lane_s, lane_f);
-      for (std::size_t i = 0; i < dim; ++i) {
-        EXPECT_EQ(dx[i * nb + l], lane_f[i])
-            << name << " root lane=" << l << " i=" << i;
-      }
-    }
-  }
-}
-
-TEST(BatchedRhs, EvaluatorFallsBackLaneByLaneWithoutBatchedKernel) {
-  // The rebalance model has no batched kernel; the evaluator must produce
-  // the per-lane scalar results (at each lane's own lambda) anyway and
-  // count zero batch passes.
-  const std::vector<double> lambdas = {0.6, 0.85};
-  auto lanes = batched_lanes("rebalance", lambdas);
-  const std::size_t nb = lanes.size();
-  const std::size_t dim = lanes[0]->dimension();
-
-  std::vector<double> x(dim * nb), dx(dim * nb);
+/// `nb` distinct smooth states in component-major layout (x[i * nb + l]
+/// is component i of lane l), so a lane mix-up cannot cancel out.
+std::vector<double> smooth_lanes(std::size_t dim, std::size_t nb) {
+  std::vector<double> x(dim * nb);
   for (std::size_t l = 0; l < nb; ++l) {
+    const double decay = 0.6 + 0.08 * static_cast<double>(l);
     x[0 * nb + l] = 1.0;
     for (std::size_t i = 1; i < dim; ++i) {
-      x[i * nb + l] = x[(i - 1) * nb + l] * 0.7;
+      x[i * nb + l] = x[(i - 1) * nb + l] * decay;
     }
   }
+  return x;
+}
 
-  std::vector<const core::MeanFieldModel*> ptrs;
-  for (const auto& m : lanes) ptrs.push_back(m.get());
-  core::RhsBatchEvaluator eval(ptrs);
-  eval.eval(x.data(), dx.data(), /*root=*/false);
+TEST(BatchedRhs, BitEqualToScalarKernelAtEachLambda) {
+  constexpr std::size_t nb = 4;
+  for (const char* name : kBatchedModels) {
+    for (const double lambda : {0.5, 0.7, 0.8, 0.9}) {
+      const auto model = core::make_model(name, lambda);
+      const std::size_t dim = model->dimension();
+      const std::vector<double> x = smooth_lanes(dim, nb);
+      std::vector<double> dx(dim * nb);
+      ode::State lane_s(dim), lane_f(dim);
 
-  EXPECT_EQ(eval.batch_passes(), 0U);
-  EXPECT_EQ(eval.rhs_evals(), nb);
-  ode::State lane_s(dim), lane_f(dim);
-  for (std::size_t l = 0; l < nb; ++l) {
-    for (std::size_t i = 0; i < dim; ++i) lane_s[i] = x[i * nb + l];
-    lanes[l]->deriv(0.0, lane_s, lane_f);
-    for (std::size_t i = 0; i < dim; ++i) {
-      EXPECT_EQ(dx[i * nb + l], lane_f[i]) << "lane=" << l << " i=" << i;
+      ASSERT_TRUE(model->deriv_batch(0.0, nb, x.data(), dx.data()))
+          << name << " advertises no batched kernel";
+      for (std::size_t l = 0; l < nb; ++l) {
+        for (std::size_t i = 0; i < dim; ++i) lane_s[i] = x[i * nb + l];
+        model->deriv(0.0, lane_s, lane_f);
+        for (std::size_t i = 0; i < dim; ++i) {
+          // Bit equality: the batched lanes promise the scalar arithmetic
+          // operation for operation, so solver trajectories are identical
+          // whichever path runs.
+          EXPECT_EQ(dx[i * nb + l], lane_f[i])
+              << name << " λ=" << lambda << " lane=" << l << " i=" << i;
+        }
+      }
+
+      // Same contract for the root-residual form the Newton phases consume.
+      ASSERT_TRUE(model->root_residual_batch(nb, x.data(), dx.data()))
+          << name;
+      for (std::size_t l = 0; l < nb; ++l) {
+        for (std::size_t i = 0; i < dim; ++i) lane_s[i] = x[i * nb + l];
+        model->root_residual(lane_s, lane_f);
+        for (std::size_t i = 0; i < dim; ++i) {
+          EXPECT_EQ(dx[i * nb + l], lane_f[i])
+              << name << " root λ=" << lambda << " lane=" << l << " i=" << i;
+        }
+      }
     }
   }
 }
 
-TEST(BatchedSweep, MatchesScalarSolvesAcrossTheGrid) {
-  std::vector<double> lambdas;
-  for (int j = 0; j < 12; ++j) lambdas.push_back(0.50 + 0.04 * j);
+/// A model's root_residual as an OdeSystem, the map the Newton polish
+/// differentiates. With `batched` false its deriv_batch reports no kernel,
+/// forcing factor_fd_jacobian onto the scalar column-by-column assembly.
+class RootResidual final : public ode::OdeSystem {
+ public:
+  RootResidual(const core::MeanFieldModel& model, bool batched)
+      : model_(model), batched_(batched) {}
 
-  const auto factory = [](double lam) {
-    return core::make_model("threshold", lam, {{"T", 4}});
-  };
-  const core::BatchSweepResult batch =
-      core::batched_lambda_sweep(factory, lambdas);
+  void deriv(double /*t*/, const ode::State& s,
+             ode::State& ds) const override {
+    model_.root_residual(s, ds);
+  }
+  [[nodiscard]] bool deriv_batch(double /*t*/, std::size_t nb,
+                                 const double* x, double* dx) const override {
+    return batched_ && model_.root_residual_batch(nb, x, dx);
+  }
+  [[nodiscard]] std::size_t dimension() const override {
+    return model_.dimension();
+  }
 
-  ASSERT_EQ(batch.points.size(), lambdas.size());
-  for (std::size_t k = 0; k < lambdas.size(); ++k) {
-    const auto& pt = batch.points[k];
-    EXPECT_LE(pt.residual, core::BatchSweepOptions{}.tol);
-    const auto model = factory(lambdas[k]);
-    const auto scalar = core::solve_fixed_point(*model);
-    EXPECT_NEAR(pt.sojourn, model->mean_sojourn(scalar.state), 1e-8)
-        << "lambda=" << lambdas[k];
+ private:
+  const core::MeanFieldModel& model_;
+  bool batched_;
+};
+
+TEST(FdJacobian, BatchedAndScalarAssemblyAreBitIdentical) {
+  for (const char* name : kBatchedModels) {
+    const auto model = core::make_model(name, 0.85);
+    const std::size_t dim = model->dimension();
+    // One smooth lane is a generic interior point of the state space.
+    const std::vector<double> x = smooth_lanes(dim, 1);
+    const ode::State s(x.begin(), x.end());
+
+    std::vector<double> solutions[2];
+    std::size_t evals[2] = {0, 0};
+    for (const bool batched : {true, false}) {
+      const RootResidual root(*model, batched);
+      const ode::CountingSystem counted(root);
+      ode::State f(dim);
+      root.deriv(0.0, s, f);
+      const auto lu = ode::detail::factor_fd_jacobian(counted, s, f, 1e-7);
+      evals[batched ? 0 : 1] = counted.evals();
+      // Solving against the residual exercises every entry of both
+      // factorizations; a single differing bit in J shows up here.
+      solutions[batched ? 0 : 1] = lu->solve(std::vector<double>(f));
+    }
+    EXPECT_EQ(evals[0], dim) << name;
+    EXPECT_EQ(evals[0], evals[1]) << name;
+    ASSERT_EQ(solutions[0].size(), solutions[1].size()) << name;
+    for (std::size_t i = 0; i < dim; ++i) {
+      EXPECT_EQ(solutions[0][i], solutions[1][i]) << name << " i=" << i;
+    }
   }
 }
 

@@ -325,12 +325,18 @@ TEST(PhaseTypeRegistry, NonExponentialServiceDispatchesToPhaseClasses) {
   EXPECT_NE(gen->name().find("ph-ws"), std::string::npos);
 }
 
-TEST(PhaseTypeRegistry, DeprecatedStagesAliasStillWorks) {
-  const auto m = core::make_model("erlang", 0.9, {{"stages", 4}});
-  EXPECT_NE(m->name().find("erlang-ws(c=4)"), std::string::npos);
-  EXPECT_THROW(
-      (void)core::make_model("erlang", 0.9, {{"stages", 4}, {"c", 4}}),
-      util::LogicError);
+TEST(PhaseTypeRegistry, StagesIsRejectedAsAnUnknownParameter) {
+  // erlang's stage count is `c` (or service=erlang:k); `stages` is an
+  // unknown key like any other, and the error lists the accepted ones.
+  try {
+    (void)core::make_model("erlang", 0.9, {{"stages", 4}});
+    FAIL() << "expected util::Error";
+  } catch (const util::Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'stages'"), std::string::npos) << what;
+    EXPECT_NE(what.find("accepts: c,"), std::string::npos) << what;
+  }
+  EXPECT_FALSE(core::model_spec("erlang").accepts("stages"));
 }
 
 TEST(PhaseTypeRegistry, ServiceParameterValidation) {

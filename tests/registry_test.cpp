@@ -81,7 +81,7 @@ TEST(Registry, MakeModelAcceptsEveryDeclaredParameter) {
     for (const auto& p : spec.params) {
       EXPECT_TRUE(spec.accepts(p.key)) << spec.name << " " << p.key;
       EXPECT_EQ(spec.fallback(p.key), p.fallback) << spec.name << " " << p.key;
-      if (p.key == "L" || p.deprecated) continue;
+      if (p.key == "L") continue;
       if (p.kind == core::ParamSpec::Kind::Distribution) {
         params[p.key] = p.fallback_text;
       } else {
