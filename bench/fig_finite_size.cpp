@@ -14,7 +14,7 @@
 // indistinguishable from noise. Those points are reported but excluded
 // from the fit (the |gap| > 2 se gate in fit_decay_exponent); fitting
 // them would bias beta toward zero. Large-n rows still earn their keep:
-// they demonstrate the sharded SoA engine running 10^5-10^6 processors
+// they demonstrate the calendar-queue SoA engine running 10^5-10^6 processors
 // and pin that the measured mean is statistically indistinguishable from
 // the mean-field limit there.
 //

@@ -86,7 +86,7 @@ std::vector<PerfCase> perf_cases() {
   return cases;
 }
 
-/// Scale-out cases: the sharded SoA engine at n = 2^16 and n = 10^6
+/// Scale-out cases: the calendar-queue engine at n = 2^16 and n = 10^6
 /// (table1 load shape, short horizons so each run stays in seconds).
 /// These track events/sec AND the per-processor memory budget.
 std::vector<PerfCase> large_cases() {

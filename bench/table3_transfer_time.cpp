@@ -47,7 +47,8 @@ int main() {
     double best_w = 1e300;
     std::size_t best_T = 0;
     for (const std::size_t T : thresholds) {
-      const std::string label = "T" + std::to_string(T);
+      std::string label = "T";
+      label += std::to_string(T);
       row.push_back(util::Table::fmt(report.sim(label, lambda)));
       const double est = report.estimate(label, lambda);
       row.push_back(util::Table::fmt(est));

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Tier-1 gate: full build + test suite, the fixed-point property suite
-# over its full λ grids, a ThreadSanitizer pass over the
-# concurrency-sensitive pieces (work-stealing thread pool + experiment
-# runner), AddressSanitizer and UB-sanitizer passes over the solver,
-# model, runner and daemon suites, and report-only perf smokes against the
+# Tier-1 gate: full build + test suite, a warnings-as-errors build, the
+# fixed-point property suite over its full λ grids, a ThreadSanitizer
+# pass over the concurrency-sensitive pieces (work-stealing thread pool
+# + experiment runner), AddressSanitizer and UB-sanitizer passes over
+# the solver, model, simulator-calendar, runner and daemon suites, and
+# report-only perf smokes against the
 # committed baselines (written under build/perf/, never over the tracked
 # records in bench/perf/).
 #
@@ -12,6 +13,7 @@
 #   SKIP_ASAN=1 scripts/check.sh   # skip the address-sanitizer pass
 #   SKIP_UBSAN=1 scripts/check.sh  # skip the UB-sanitizer pass
 #   SKIP_PERF=1 scripts/check.sh   # skip the perf smokes
+#   SKIP_WERROR=1 scripts/check.sh # skip the -DLSM_WERROR=ON build
 #   SKIP_PROPERTIES=1 scripts/check.sh  # skip the full-grid property pass
 #   SKIP_FAULTS=1 scripts/check.sh # skip the fault-injection leg
 #   SKIP_PHASE_TYPE=1 scripts/check.sh  # skip the phase-type service leg
@@ -23,9 +25,20 @@ cd "$(dirname "$0")/.."
 jobs="$(nproc 2>/dev/null || echo 4)"
 
 echo "== tier 1: build + ctest"
-cmake -B build -G Ninja >/dev/null
+# No -G: build/ keeps whichever generator it was first configured with.
+cmake -B build >/dev/null
 cmake --build build -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs"
+
+if [ "${SKIP_WERROR:-0}" != "1" ]; then
+  # Build-only: every target must compile warning-free under the
+  # project's warning set (-Wall -Wextra -Wpedantic -Wshadow -Wconversion
+  # -Wdouble-promotion) with -Werror.
+  echo "== werror: full build with -DLSM_WERROR=ON"
+  cmake -B build-werror -G Ninja -DLSM_WERROR=ON \
+    -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake --build build-werror -j "$jobs"
+fi
 
 if [ "${SKIP_PROPERTIES:-0}" != "1" ]; then
   # Tier 1 already ran the property suite on its fast default grids;
@@ -96,9 +109,10 @@ fi
 
 if [ "${SKIP_LARGE_N:-0}" != "1" ]; then
   # Scale-out smoke: the convergence-rate bench's tiny grid tops out at
-  # n = 10^5, exercising the sharded SoA engine well past the old
-  # per-processor-heap scale — under an armed fault injector in report
-  # mode, so failure isolation is checked on the same path. Both tables
+  # n = 10^5, exercising the calendar-queue engine (simulate() switches
+  # to it from n = 2^15) well past the old per-processor-heap scale —
+  # under an armed fault injector in report mode, so failure isolation
+  # is checked on the same path. Both tables
   # (per-point gaps and the decay-fit summary) must render and the
   # process must exit 0.
   echo "== large-n: 10^5-processor convergence smoke under faults"
@@ -181,8 +195,8 @@ if [ "${SKIP_TSAN:-0}" != "1" ]; then
   # TSan anyway so a future pooled solver path cannot silently introduce
   # unsynchronized shared workspace state.
   ./build-tsan/tests/test_krylov
-  # Sharded-engine replications across the pool: shard-count independence
-  # must hold with the SoA engines running on pool threads.
+  # SoA-engine replications across the pool: results must not depend on
+  # which pool thread ran a replication.
   ./build-tsan/tests/test_sim_shards \
     --gtest_filter='ShardIndependence.PooledReplicationsMatchSerial'
   # Replicated phase-type sampling fans the new alias-table sampler
@@ -204,11 +218,12 @@ if [ "${SKIP_TSAN:-0}" != "1" ]; then
 fi
 
 if [ "${SKIP_ASAN:-0}" != "1" ]; then
-  echo "== asan: ODE, core, exp and serve suites under -fsanitize=address"
+  echo "== asan: ODE, core, sim calendar, exp and serve suites under -fsanitize=address"
+  # test_sim_shards: the calendars' chunk/slab index arithmetic.
   asan_tests=(test_ode test_banded test_anderson test_krylov
     test_model_basic test_model_fixed_point test_model_reduction
     test_model_variants test_registry test_golden_values test_phase_type
-    test_exp_runner test_fault_injection
+    test_sim_shards test_exp_runner test_fault_injection
     test_serve_protocol test_serve_concurrency test_serve_fault
     test_serve_lifecycle)
   cmake -B build-asan -G Ninja -DLSM_SANITIZE=address \
@@ -226,7 +241,7 @@ if [ "${SKIP_UBSAN:-0}" != "1" ]; then
   cmake --build build-ubsan -j "$jobs" \
     --target test_ode test_banded test_anderson test_krylov \
     test_hot_loop_alloc test_model_fixed_point test_phase_type \
-    test_serve_protocol
+    test_sim_shards test_serve_protocol
   export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
   ./build-ubsan/tests/test_ode
   ./build-ubsan/tests/test_banded
@@ -235,6 +250,7 @@ if [ "${SKIP_UBSAN:-0}" != "1" ]; then
   ./build-ubsan/tests/test_hot_loop_alloc
   ./build-ubsan/tests/test_model_fixed_point
   ./build-ubsan/tests/test_phase_type
+  ./build-ubsan/tests/test_sim_shards
   # The daemon's protocol suite: socket I/O, JSON parsing of hostile
   # input, and the size_t/double counter plumbing in responses.
   ./build-ubsan/tests/test_serve_protocol

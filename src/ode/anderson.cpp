@@ -20,12 +20,12 @@ inline double dot(const State& a, const State& b) {
 class Workspace {
  public:
   Workspace(std::size_t n, std::size_t m)
-      : m_(m),
-        f_(n),
+      : f_(n),
         r_(n),
         xn_(n),
         fn_(n),
         fbest_(n),
+        m_(m),
         rmat_(m * m),
         rhs_(m),
         theta_(m) {

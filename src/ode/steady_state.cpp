@@ -40,10 +40,8 @@ SteadyStateResult relax_to_fixed_point(const OdeSystem& sys, State s0,
       f.context = opts.label;
       throw util::FailureError(std::move(f));
     }
-    SteadyStateResult r{std::move(s0), t, norm, counted.evals()};
-    r.status = status;
-    r.failure = msg;
-    return r;
+    return SteadyStateResult{std::move(s0), t, norm, counted.evals(), status,
+                             msg};
   };
 
   counted.project(s0);
@@ -78,7 +76,8 @@ SteadyStateResult relax_to_fixed_point(const OdeSystem& sys, State s0,
     counted.deriv(t, s0, ds);
     norm = norm_linf(ds);
   }
-  return SteadyStateResult{std::move(s0), t, norm, counted.evals()};
+  return SteadyStateResult{std::move(s0), t, norm, counted.evals(),
+                           SolveStatus::Converged, {}};
 }
 
 }  // namespace lsm::ode

@@ -90,6 +90,23 @@ class QueueArena {
     len_[p] -= static_cast<std::uint32_t>(count);
   }
 
+  /// Prefetches p's index entries (offset, head, length, capacity): the
+  /// first stage of warming a processor's queue some events ahead.
+  void prefetch_index(std::uint32_t p) const noexcept {
+    __builtin_prefetch(&off_[p]);
+    __builtin_prefetch(&head_[p]);
+    __builtin_prefetch(&len_[p]);
+    __builtin_prefetch(&cap_log2_[p]);
+  }
+
+  /// Prefetches p's front and back task slots; reads the index entries,
+  /// so it pays off after prefetch_index(p) has landed.
+  void prefetch_slots(std::uint32_t p) const noexcept {
+    const double* block = slab_.data() + off_[p];
+    __builtin_prefetch(block + head_[p]);
+    __builtin_prefetch(block + ((head_[p] + len_[p]) & mask(p)));
+  }
+
   /// Bytes of heap state the arena owns (the scale-out budget line).
   [[nodiscard]] std::size_t resident_bytes() const noexcept {
     std::size_t bytes = slab_.capacity() * sizeof(double) +

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "sim/calendar.hpp"
-#include "sim/event_queue.hpp"
+#include "sim/calendar_queue.hpp"
 #include "sim/queue_arena.hpp"
 #include "util/error.hpp"
 #include "util/statistics.hpp"
@@ -45,8 +46,8 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Spill events: the rare, cancellable kinds. Arrivals and completions —
-/// the two streams that dominate event volume — live in the sharded
-/// per-processor calendar instead and never pass through this queue.
+/// the two streams that dominate event volume — are the calendar's own
+/// per-processor streams and carry no payload.
 enum class Ev : std::uint8_t {
   Retry,
   TransferArrive,
@@ -61,10 +62,7 @@ struct Payload {
 
 /// Time-averaged tail histogram: one AGGREGATE accumulator per level,
 /// lazily folded so each load change costs O(|delta|) instead of
-/// O(levels). Deliberately not sharded: O(histogram_limit) doubles total
-/// (never O(n·limit)), and a single event-ordered accumulation stream is
-/// what keeps tail_fraction bit-identical across shard counts — a
-/// per-shard float merge would reorder the rounding.
+/// O(levels): O(histogram_limit) doubles total, never O(n·limit).
 class TailStats {
  public:
   TailStats(std::size_t processors, std::size_t limit)
@@ -128,20 +126,56 @@ class TailStats {
   std::size_t limit_;
 };
 
+/// Processors from which simulate() uses the calendar queue instead of
+/// the winner tree. Measured crossover (Release build, 4-vCPU Xeon VM,
+/// λ = 0.9 steal-on-empty T = 2 from empty, ~6·10^6 events per run,
+/// median CPU ns/event of three runs, winner tree vs calendar queue):
+/// n = 2^13 62 vs 74, 2^14 73 vs 80, 2^15 90 vs 90, 2^16 150 vs 105,
+/// 2^17 211 vs 128. Below 2^15 the tree's re-keys stay in cache and the
+/// queue's bucket sorts cost more; above it the tree's replays miss.
+constexpr std::size_t kCalendarQueueMinProcessors = std::size_t{1} << 15;
+
+/// Calendar-queue geometry. A bucket holds ~kBucketEvents events (the
+/// sort per opened bucket stays short, the bucket heads few), and the
+/// ring spans kRingSpanDelays mean event delays, so only the far tail of
+/// the delay distribution takes the overflow heap. Neither changes a
+/// result: the pop order is exact for any geometry.
+constexpr double kBucketEvents = 48.0;
+constexpr double kRingSpanDelays = 6.0;
+
+CalendarQueue<Payload> make_calendar_queue(const SimConfig& cfg) {
+  double min_speed = std::min(cfg.slow_speed, cfg.fast_speed);
+  for (const auto& g : cfg.speed_groups) min_speed = std::min(min_speed, g.speed);
+  const double arrival = cfg.arrival_rate + cfg.internal_rate;
+  const double service = cfg.service.mean() / min_speed;
+  // Events per unit time per processor (an upper estimate: every
+  // processor busy), and the longest mean delay between a processor's
+  // events.
+  const double rate = arrival + (service > 0.0 ? 1.0 / service : 0.0);
+  const double delay = std::max(arrival > 0.0 ? 1.0 / arrival : 0.0, service);
+  const double n = static_cast<double>(cfg.processors);
+  const double width = rate > 0.0 ? kBucketEvents / (n * rate) : 1.0;
+  // At most one bucket head (8 B) per processor, whatever the rates.
+  const double ring = delay > 0.0 ? kRingSpanDelays * delay / width : 2.0;
+  return CalendarQueue<Payload>(cfg.processors, width,
+                                static_cast<std::size_t>(std::min(ring, n)));
+}
+
 /// Structure-of-arrays engine state: one shared queue arena, flat
 /// per-processor arrays allocated only when the configuration needs them
-/// (speeds, transfer buffers, cancellation stamps), and a sharded dual
+/// (speeds, transfer buffers, cancellation stamps), and one event
 /// calendar — no per-processor heap objects anywhere. The old
 /// array-of-Proc layout cost ~200 bytes and 2+ heap blocks per
-/// processor; this one runs n = 10^6 inside ~80 bytes/processor.
+/// processor; this one runs n = 2^23 inside ~80 bytes/processor.
+template <typename Calendar>
 class Engine {
  public:
-  Engine(const SimConfig& cfg, util::Xoshiro256 rng)
+  Engine(const SimConfig& cfg, util::Xoshiro256 rng, Calendar calendar)
       : cfg_(cfg),
         n_(cfg.processors),
         rng_(rng),
         queues_(cfg.processors),
-        cal_(cfg.processors, cfg.shard_count),
+        cal_(std::move(calendar)),
         tails_(cfg.processors, cfg.histogram_limit) {
     if (!cfg_.speed_groups.empty()) {
       speed_.assign(n_, 1.0);
@@ -167,7 +201,7 @@ class Engine {
       rebalance_stamp_.assign(n_, 0);
     }
     if (cfg_.collect_sojourn_histogram) {
-      shard_hists_.assign(cal_.shards(), SojournHistogram(true));
+      result_.sojourn_hist = SojournHistogram(true);
     }
     // Hoisted inverse rates: one division at setup instead of one per
     // event. The quotients are the exact doubles the per-event divisions
@@ -190,27 +224,9 @@ class Engine {
     double now = 0.0;
     bool hit_horizon = false;
     double next_sample = cfg_.timeline_dt > 0.0 ? 0.0 : horizon + 1.0;
-    // Merge loop: the sharded calendar's root is the least (time, seq)
-    // over every arrival/completion slot; comparing it against the spill
-    // top reproduces exactly the pop order of one shared heap (all
-    // streams draw from one global sequence counter).
     for (;;) {
-      enum class Src : std::uint8_t { None, Arrival, Completion, Spill };
-      ShardedCalendar::Key next = cal_.top_key();
-      Src src = next.time < kInf
-                    ? (cal_.top_stream() == ShardedCalendar::kArrival
-                           ? Src::Arrival
-                           : Src::Completion)
-                    : Src::None;
-      if (!spill_.empty()) {
-        const auto& se = spill_.top();
-        if ((ShardedCalendar::Key{se.time, se.seq}).before(next)) {
-          next = ShardedCalendar::Key{se.time, se.seq};
-          src = Src::Spill;
-        }
-      }
-      if (src == Src::None) break;  // drained
-      const double t_next = next.time;
+      const double t_next = cal_.next_time();
+      if (t_next == kInf) break;  // drained
       if (t_next > horizon) {
         hit_horizon = true;  // state stays frozen from `now` to the horizon
         break;
@@ -223,34 +239,25 @@ class Engine {
       }
       if (!warmup_done_ && t_next >= cfg_.warmup) begin_measurement();
       now = t_next;
-      switch (src) {
-        case Src::Arrival:
-          on_arrival(cal_.top_proc(), now);
+      const auto ev = cal_.pop();
+      // Warm the queue state of the processors a few events ahead: their
+      // index arrays first, then (once those have arrived) the task slots.
+      cal_.lookahead(kPrefetchIndex,
+                     [this](std::uint32_t q) { queues_.prefetch_index(q); });
+      cal_.lookahead(kPrefetchSlots,
+                     [this](std::uint32_t q) { queues_.prefetch_slots(q); });
+      switch (ev.stream) {
+        case Stream::Arrival:
+          on_arrival(ev.proc, now);
           break;
-        case Src::Completion: {
-          // Fused re-key: the fired slot is left in place while the
-          // handler runs; if the processor starts another service (next
-          // queued task, or an instant steal), start_service re-keys the
-          // same slot with one replay — otherwise it is cleared here.
-          // This halves the calendar traffic on the busy path versus
-          // clear-then-set.
-          const std::uint32_t p = cal_.top_proc();
-          pending_clear_ = p;
-          on_completion(p, now);
-          if (pending_clear_ != kNoProc) {
-            cal_.clear(pending_clear_, ShardedCalendar::kCompletion);
-          }
-          pending_clear_ = kNoProc;
+        case Stream::Completion:
+          on_completion(ev.proc, now);
           break;
-        }
-        case Src::Spill: {
-          const auto entry = spill_.pop();
-          dispatch_spill(entry.payload, now);
-          break;
-        }
-        case Src::None:
+        case Stream::Spill:
+          dispatch_spill(ev.spill, now);
           break;
       }
+      cal_.settle();
     }
     if (hit_horizon) {
       while (next_sample <= horizon) {  // frozen state up to the horizon
@@ -293,8 +300,7 @@ class Engine {
     thin_while_idle_ = cfg_.internal_rate > 0.0;
     idle_accept_ = cfg_.arrival_rate / max_rate_;
     for (std::uint32_t p = 0; p < n_; ++p) {
-      cal_.set(p, ShardedCalendar::kArrival, rng_.exponential(mean_interarrival_),
-               next_seq_++);
+      cal_.schedule(p, Stream::Arrival, rng_.exponential(mean_interarrival_));
     }
   }
 
@@ -338,8 +344,6 @@ class Engine {
             : 0.0;
     result_.drain_time = last_completion_;
     result_.tasks_remaining = total_tasks_;
-    for (const auto& h : shard_hists_) result_.sojourn_hist.merge(h);
-    result_.shards_used = cal_.shards();
     result_.engine_bytes = resident_bytes();
   }
 
@@ -354,9 +358,7 @@ class Engine {
              sizeof(std::uint32_t);
     bytes += inflight_.capacity() * sizeof(std::vector<double>);
     for (const auto& v : inflight_) bytes += v.capacity() * sizeof(double);
-    bytes += spill_.size() * sizeof(EventQueue<Payload>::Entry);
     bytes += scratch_.capacity() * sizeof(double);
-    for (const auto& h : shard_hists_) bytes += h.resident_bytes();
     return bytes;
   }
 
@@ -379,9 +381,9 @@ class Engine {
   void on_arrival(std::uint32_t p, double t) {
     // Each processor owns a Poisson stream at the maximum rate; thinning
     // yields the load-dependent rate lambda_ext + [busy] lambda_int. The
-    // stream's slot is re-keyed in place: one replay instead of pop + push.
-    cal_.set(p, ShardedCalendar::kArrival,
-             t + rng_.exponential(mean_interarrival_), next_seq_++);
+    // stream's next arrival is scheduled first, as the fused re-key of
+    // the winner tree wants.
+    cal_.schedule(p, Stream::Arrival, t + rng_.exponential(mean_interarrival_));
     if (thin_while_idle_ && queues_.empty(p) &&
         rng_.uniform() >= idle_accept_) {
       return;  // thinned away
@@ -423,9 +425,7 @@ class Engine {
       if (cfg_.collect_sojourns) {
         result_.sojourn_samples.push_back(t - arrived);
       }
-      if (!shard_hists_.empty()) {
-        shard_hists_[cal_.shard_of(p)].add(t - arrived);
-      }
+      if (cfg_.collect_sojourn_histogram) result_.sojourn_hist.add(t - arrived);
     }
     if (!queues_.empty(p)) {
       start_service(p, t);
@@ -551,7 +551,8 @@ class Engine {
       inflight_[thief].assign(scratch_.begin(), scratch_.end());
       waiting_[thief] = 1;
       invalidate_retries(thief);
-      push_spill(t + sample_transfer(), Payload{Ev::TransferArrive, thief, 0});
+      cal_.schedule_spill(t + sample_transfer(),
+                          Payload{Ev::TransferArrive, thief, 0});
     }
   }
 
@@ -586,10 +587,6 @@ class Engine {
 
   // --- scheduling helpers ----------------------------------------------------
 
-  void push_spill(double time, Payload payload) {
-    spill_.push_with_seq(time, next_seq_++, payload);
-  }
-
   [[nodiscard]] double sample_transfer() {
     switch (cfg_.policy.transfer) {
       case StealPolicy::Transfer::Exponential:
@@ -614,18 +611,17 @@ class Engine {
     LSM_ASSERT(!queues_.empty(p));
     double duration = cfg_.service.sample(rng_);
     if (!speed_.empty() && speed_[p] != 1.0) duration /= speed_[p];
-    if (p == pending_clear_) pending_clear_ = kNoProc;  // fused re-key
-    cal_.set(p, ShardedCalendar::kCompletion, t + duration, next_seq_++);
+    cal_.schedule(p, Stream::Completion, t + duration);
   }
 
   void schedule_retry(std::uint32_t p, double t) {
-    push_spill(t + rng_.exponential(mean_retry_),
-               Payload{Ev::Retry, p, retry_stamp_[p]});
+    cal_.schedule_spill(t + rng_.exponential(mean_retry_),
+                        Payload{Ev::Retry, p, retry_stamp_[p]});
   }
 
   void schedule_rebalance(std::uint32_t p, double t) {
-    push_spill(t + rng_.exponential(mean_rebalance_),
-               Payload{Ev::Rebalance, p, rebalance_stamp_[p]});
+    cal_.schedule_spill(t + rng_.exponential(mean_rebalance_),
+                        Payload{Ev::Rebalance, p, rebalance_stamp_[p]});
   }
 
   void invalidate_retries(std::uint32_t p) {
@@ -665,15 +661,12 @@ class Engine {
   const SimConfig& cfg_;
   std::size_t n_;
   util::Xoshiro256 rng_;
+  /// Lookahead distances (events) of the two prefetch stages.
+  static constexpr std::size_t kPrefetchIndex = 8;
+  static constexpr std::size_t kPrefetchSlots = 4;
+
   QueueArena queues_;     ///< SoA per-processor task queues (shared arena)
-  ShardedCalendar cal_;   ///< arrival + completion slots, sharded trees
-  EventQueue<Payload> spill_;  ///< rare cancellable events (retry/transfer/...)
-  std::uint64_t next_seq_ = 0;  ///< global (time, seq) tie-break counter
-  static constexpr std::uint32_t kNoProc =
-      std::numeric_limits<std::uint32_t>::max();
-  /// Completing processor whose calendar slot still holds the fired key;
-  /// start_service cancels the deferred clear by re-keying it in place.
-  std::uint32_t pending_clear_ = kNoProc;
+  Calendar cal_;          ///< every pending event, in (time, seq) order
   TailStats tails_;
   SimResult result_;
   std::vector<double> scratch_;  ///< reusable steal/rebalance staging buffer
@@ -685,7 +678,6 @@ class Engine {
   std::vector<std::vector<double>> inflight_;  ///< stolen tasks in transit
   std::vector<std::uint32_t> retry_stamp_;
   std::vector<std::uint32_t> rebalance_stamp_;
-  std::vector<SojournHistogram> shard_hists_;  ///< per-shard, exact merge
 
   double max_rate_ = 0.0;
   double mean_interarrival_ = 0.0;  ///< 1 / max_rate_ (hoisted division)
@@ -703,10 +695,31 @@ class Engine {
 
 }  // namespace
 
-SimResult simulate(const SimConfig& config, util::Xoshiro256 rng) {
+namespace detail {
+
+CalendarKind calendar_for(std::size_t processors) {
+  return processors >= kCalendarQueueMinProcessors ? CalendarKind::CalendarQueue
+                                                   : CalendarKind::WinnerTree;
+}
+
+SimResult simulate_on(const SimConfig& config, util::Xoshiro256 rng,
+                      CalendarKind calendar) {
   config.validate();
-  Engine engine(config, rng);
-  return engine.run();
+  if (calendar == CalendarKind::CalendarQueue) {
+    return Engine<CalendarQueue<Payload>>(config, rng,
+                                          make_calendar_queue(config))
+        .run();
+  }
+  return Engine<WinnerTreeCalendar<Payload>>(
+             config, rng, WinnerTreeCalendar<Payload>(config.processors))
+      .run();
+}
+
+}  // namespace detail
+
+SimResult simulate(const SimConfig& config, util::Xoshiro256 rng) {
+  return detail::simulate_on(config, rng,
+                             detail::calendar_for(config.processors));
 }
 
 SimResult simulate(const SimConfig& config) {

@@ -48,19 +48,13 @@ struct SimConfig {
 
   std::size_t histogram_limit = 64;  ///< track s_i for i <= limit
 
-  /// Calendar shards (processor blocks with per-shard winner trees and a
-  /// merge front). Purely a layout/performance knob: extraction is by
-  /// global (time, seq) minimum, so results are bit-for-bit identical
-  /// for every value. 0 picks the default block size (8192 processors).
-  std::size_t shard_count = 0;
-
   /// Keep every measured sojourn time (memory ~ 8 bytes/task) so callers
   /// can compute percentiles; off by default.
   bool collect_sojourns = false;
 
   /// Accumulate measured sojourns into a fixed-footprint log-bucketed
-  /// histogram (per calendar shard, merged exactly at finalize) — the
-  /// large-n replacement for collect_sojourns, O(1) memory per run.
+  /// histogram — the large-n replacement for collect_sojourns, O(1)
+  /// memory per run.
   bool collect_sojourn_histogram = false;
 
   /// Sample (t, tasks/processor, busy fraction) every timeline_dt seconds
@@ -117,17 +111,13 @@ struct SimResult {
   std::vector<double> sojourn_samples;
 
   /// Log-bucketed sojourn histogram (only when
-  /// SimConfig::collect_sojourn_histogram); merged exactly across the
-  /// engine's shards, so it is shard-count independent.
+  /// SimConfig::collect_sojourn_histogram).
   SojournHistogram sojourn_hist;
 
   /// Resident bytes of engine-owned simulator state at the end of the
   /// run (queues, calendars, per-processor arrays, scratch — excludes
   /// result buffers). The scale-out budget perf_sim tracks per case.
   std::uint64_t engine_bytes = 0;
-
-  /// Calendar shards the engine actually used (after block rounding).
-  std::size_t shards_used = 0;
 
   /// Instantaneous system snapshots (only when SimConfig::timeline_dt > 0).
   struct TimelinePoint {
@@ -144,10 +134,29 @@ struct SimResult {
 };
 
 /// Runs one replication. Deterministic for a given (config, rng state).
+/// The event calendar is chosen from config.processors alone: a winner
+/// tree for small n, a calendar queue for large n (docs/SIMULATOR.md).
+/// Both pop the identical (time, seq) order, so the choice never changes
+/// a result.
 [[nodiscard]] SimResult simulate(const SimConfig& config,
                                  util::Xoshiro256 rng);
 
 /// Convenience: seed taken from config.seed.
 [[nodiscard]] SimResult simulate(const SimConfig& config);
+
+namespace detail {
+
+enum class CalendarKind { WinnerTree, CalendarQueue };
+
+/// The calendar simulate() uses for `processors`.
+[[nodiscard]] CalendarKind calendar_for(std::size_t processors);
+
+/// simulate() on a given calendar: the seam that lets tests compare the
+/// two calendars at any n. Not a user option.
+[[nodiscard]] SimResult simulate_on(const SimConfig& config,
+                                    util::Xoshiro256 rng,
+                                    CalendarKind calendar);
+
+}  // namespace detail
 
 }  // namespace lsm::sim

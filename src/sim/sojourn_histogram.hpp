@@ -6,12 +6,11 @@
 // 1/8-octave log-spaced buckets with integer counts, so quantiles are
 // recovered to within the bucket ratio 2^(1/8) ~ 9% at O(1) memory.
 //
-// Counts are plain integers, so per-shard instances merge EXACTLY — the
-// merged histogram is bit-identical no matter how completions were
-// partitioned across shards (unlike any floating-point accumulator,
-// whose merge order changes the rounding). The engine accumulates one
-// instance per calendar shard and merges at finalize;
-// tests/sim_shard_test.cpp pins merge(a, b) == unsharded accumulation.
+// Counts are plain integers, so instances merge EXACTLY — the merged
+// histogram is bit-identical no matter how the sojourns were partitioned
+// (across replications, say), unlike any floating-point accumulator,
+// whose merge order changes the rounding; tests/sim_shard_test.cpp pins
+// merge(a, b) == one accumulation.
 #pragma once
 
 #include <bit>
@@ -48,8 +47,8 @@ class SojournHistogram {
     ++total_;
   }
 
-  /// Exact integer merge; commutative and associative, so any shard
-  /// partition of the same completions yields identical state.
+  /// Exact integer merge; commutative and associative, so any partition
+  /// of the same sojourns yields identical state.
   void merge(const SojournHistogram& o) {
     if (!o.enabled()) return;
     if (!enabled()) counts_.assign(kBuckets, 0);

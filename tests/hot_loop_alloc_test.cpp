@@ -1,7 +1,8 @@
 // Counting-allocator enforcement of the allocation-free hot loops: once an
 // AdaptiveIntegrator (or a fixed-step Stepper) is warm, further integration
-// performs zero heap allocations, and an Anderson run's allocation count is
-// a function of the problem size only, never of the iteration count.
+// performs zero heap allocations, an Anderson run's allocation count is
+// a function of the problem size only, never of the iteration count, and
+// a warm simulator calendar queue recycles its chunks and pools.
 //
 // The counter hooks the global operator new/delete for this test binary.
 // Only allocation DELTAS measured around the hot region are asserted, so
@@ -19,6 +20,8 @@
 #include "ode/integrator.hpp"
 #include "ode/krylov.hpp"
 #include "ode/steppers.hpp"
+#include "sim/calendar_queue.hpp"
+#include "util/xoshiro.hpp"
 
 namespace {
 std::atomic<std::size_t> g_allocations{0};
@@ -137,6 +140,47 @@ TEST(HotLoopAlloc, GmresIterationsAllocationFree) {
   }
   EXPECT_EQ(allocations(), warm)
       << "warm GMRES solves must reuse the workspace buffers";
+}
+
+TEST(HotLoopAlloc, CalendarQueueAllocationFreeOnceWarm) {
+  // The simulator's large-n calendar in its steady state: every processor
+  // holds one pending arrival, each pop re-schedules its stream, and some
+  // pops also schedule a completion or a spill event (retry-like). Chunks
+  // return to the free list as buckets drain, the spill pool recycles its
+  // slots and the heaps and the sorted run keep their capacity, so after
+  // the warm-up no operation allocates.
+  constexpr std::size_t kProcs = 4096;
+  sim::CalendarQueue<std::uint32_t> cal(kProcs, 48.0 / (2.0 * kProcs), 2048);
+  util::Xoshiro256 rng(3);
+  for (std::uint32_t p = 0; p < kProcs; ++p) {
+    cal.schedule(p, sim::Stream::Arrival, rng.exponential(1.0));
+  }
+  auto churn = [&](int ops) {
+    for (int i = 0; i < ops; ++i) {
+      const double now = cal.next_time();
+      const auto ev = cal.pop();
+      cal.settle();
+      switch (ev.stream) {
+        case sim::Stream::Arrival:
+          cal.schedule(ev.proc, sim::Stream::Arrival, now + rng.exponential(1.0));
+          if (rng.below(2) == 0) {
+            cal.schedule(ev.proc, sim::Stream::Completion,
+                         now + rng.exponential(0.5));
+          }
+          break;
+        case sim::Stream::Completion:
+          if (rng.below(8) == 0) cal.schedule_spill(now + rng.exponential(4.0), ev.proc);
+          break;
+        case sim::Stream::Spill:
+          break;
+      }
+    }
+  };
+  churn(2000000);  // sizes the slabs, the run, the heaps and the pool
+  const std::size_t warm = allocations();
+  churn(200000);
+  EXPECT_EQ(allocations(), warm)
+      << "a warm calendar queue must recycle its storage";
 }
 
 }  // namespace
